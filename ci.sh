@@ -18,6 +18,14 @@ echo "== scalar fallback: kernel + parity suites under UAE_FORCE_SCALAR =="
 UAE_FORCE_SCALAR=1 cargo test -q -p uae-tensor
 UAE_FORCE_SCALAR=1 cargo test -q -p uae-core --test quant_parity
 
+echo "== query sharding: equivalence + zero-alloc at pool widths 1 and 4 =="
+# Width 1 keeps every batch one unsharded walk; width 4 splits a batch of
+# 32+ queries into up to 8 shards, even on a 2-core machine.
+for threads in 1 4; do
+    UAE_POOL_THREADS=$threads cargo test -q -p uae-core \
+        --test batch_equivalence --test zero_alloc --test fault_injection
+done
+
 echo "== benches compile =="
 cargo bench --no-run
 

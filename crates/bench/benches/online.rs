@@ -131,7 +131,8 @@ fn emit_online_json(base: &Table, drift: &Table, live: &Uae) {
                 rollbacks += 1;
                 current = model;
             }
-            RoundOutcome::Rejected(_) | RoundOutcome::Idle => {}
+            RoundOutcome::Rejected(_) | RoundOutcome::Idle | RoundOutcome::PersistFailed { .. } => {
+            }
         }
         let t_ms = drift_at.elapsed().as_secs_f64() * 1e3;
         let median = median_q(&current, &eval_post);

@@ -47,10 +47,11 @@ fn main() {
     let mut uae = Uae::new(&table, cfg);
     uae.train_data(scale.data_epochs);
 
-    let ingest_epochs = (scale.query_epochs.max(4)).min(20); // paper: 10–20
-                                                             // Refinement uses a gentler learning rate than initial training, so the
-                                                             // query signal sharpens the focused region without destabilizing the
-                                                             // rest of the learned distribution.
+    let ingest_epochs = scale.query_epochs.clamp(4, 20); // paper: 10–20
+
+    // Refinement uses a gentler learning rate than initial training, so the
+    // query signal sharpens the focused region without destabilizing the
+    // rest of the learned distribution.
     uae.set_learning_rate(5e-4);
     let mut naru_means = Vec::new();
     let mut uae_means = Vec::new();

@@ -305,7 +305,8 @@ mod tests {
             // the numeric gradient meaningless there).
             let mut rng = seeded_rng(10);
             let model = model.clone();
-            let sel = dps_selectivities(tape, &model, &schema, &[vq.clone()], &cfg, &mut rng);
+            let sel =
+                dps_selectivities(tape, &model, &schema, std::slice::from_ref(&vq), &cfg, &mut rng);
             qerror_loss(tape, sel, &[0.25])
         });
         assert!(
@@ -341,7 +342,8 @@ mod tests {
         let vq = VirtualQuery::build(&t, &schema, &q);
         let cfg = DpsConfig { tau: 0.5, samples: 64 };
         let mut rng = seeded_rng(2);
-        let est = dps_forward_only(&model, &store, &schema, &[vq.clone()], &cfg, &mut rng)[0];
+        let est =
+            dps_forward_only(&model, &store, &schema, std::slice::from_ref(&vq), &cfg, &mut rng)[0];
         assert!((0.0..=1.0).contains(&est), "estimate {est} out of range");
         // Compare against exhaustive within loose Monte-Carlo tolerance.
         let exact = exhaustive_selectivity(&model.snapshot(&store), &schema, &vq);

@@ -420,9 +420,8 @@ mod tests {
         let vc = s.virtual_codes(&t);
         for r in 0..t.num_rows() {
             let row = s.to_virtual_codes(&t.row_codes(r));
-            for v in 0..s.num_virtual() {
-                assert_eq!(vc[v][r], row[v]);
-            }
+            let got: Vec<u32> = vc.iter().map(|col| col[r]).collect();
+            assert_eq!(got, row);
         }
     }
 

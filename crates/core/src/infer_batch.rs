@@ -32,18 +32,32 @@
 //!   compute each output row from its input row alone, so deduplicating
 //!   identical rows cannot change any value.
 //!
+//! * **Query sharding.** Queries never interact: each has its own RNG and
+//!   the forward is row-independent. A batch of `n` queries is therefore
+//!   split into `k` interleaved shards (query `i` → shard `i mod k`), each
+//!   walked in lock-step on its own scratch and run across the
+//!   `uae_tensor::pool` workers, so the per-query region-mass/sample/dedup
+//!   loop, the stacking and the softmax stop running on one core. The
+//!   shard count is `min(2 × pool_threads(), n / MIN_SHARD_QUERIES)`; at
+//!   `k ≤ 1` (a pool of width 1, or fewer than `2 × MIN_SHARD_QUERIES`
+//!   queries) the batch is one walk, as before sharding existed.
+//!
 //! Equivalence with the sequential walk holds because each query draws from
 //! its own seeded RNG, and within a query the draw order is identical:
 //! ascending constrained column, then ascending row index over live rows.
+//! The same argument makes every shard count give the same bits: a query's
+//! estimate depends only on (snapshot, query, `s`, seed), never on which
+//! other queries share its walk.
 //!
 //! All tensor traffic — the stacked forward, the per-round probability
 //! matrix, and every query's prefix table — lives in a caller-owned
-//! [`BatchScratch`], so a warmed scratch serves batches with zero tensor
-//! allocations.
+//! [`BatchScratch`] (one walk scratch per shard), so a warmed scratch
+//! serves batches with zero tensor allocations.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use uae_tensor::Tensor;
@@ -53,12 +67,46 @@ use crate::infer::sample_in_region;
 use crate::model::{ModelScratch, RawModel};
 use crate::vquery::{StepRegion, VirtualQuery};
 
-/// Caller-owned buffers for [`progressive_sample_batch_with`]: the model
-/// forward scratch, the stacked per-round input matrix, the prefix-table
-/// rebuild buffer, and a pool of per-query prefix tensors that survives
+/// Queries per shard below which a batch is not split further: a shard
+/// needs enough queries that its stacked forwards still amortize the
+/// weight traversals, and the handoff to a pool worker (a few µs) stays
+/// small next to a shard's walk.
+pub const MIN_SHARD_QUERIES: usize = 8;
+
+/// Caller-owned buffers for [`progressive_sample_batch_with`]: one walk
+/// scratch for unsharded batches plus one per query shard, all surviving
 /// across batches. Buffers grow to the largest batch seen and are reused.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
+    walk: WalkScratch,
+    /// One persistent scratch per shard, grown to the largest shard count
+    /// used. The locks are never contended: each shard index is claimed by
+    /// exactly one pool thread per batch.
+    shards: Vec<Mutex<WalkScratch>>,
+}
+
+impl BatchScratch {
+    /// Fresh, empty scratch; buffers are sized lazily on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Numeric mode of the model forward pass driven through this scratch
+    /// and its shard scratches. Must match the mode the [`RawModel`]
+    /// snapshot was built with.
+    pub fn set_quant_mode(&mut self, mode: uae_tensor::QuantMode) {
+        self.walk.model.set_quant_mode(mode);
+        for shard in &mut self.shards {
+            shard.get_mut().model.set_quant_mode(mode);
+        }
+    }
+}
+
+/// Buffers of one lock-step walk: the model forward scratch, the stacked
+/// per-round input matrix, the prefix-table rebuild buffer, and a pool of
+/// per-query prefix tensors.
+#[derive(Debug, Default)]
+struct WalkScratch {
     model: ModelScratch,
     /// Stacked distinct-prefix rows of every non-virgin round participant.
     stacked: Tensor,
@@ -75,19 +123,6 @@ pub struct BatchScratch {
     /// Prefix-id interner buffers, cleared per (query, round).
     intern: HashMap<(usize, u32), usize>,
     created: Vec<(usize, u32)>,
-}
-
-impl BatchScratch {
-    /// Fresh, empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Numeric mode of the model forward pass driven through this scratch.
-    /// Must match the mode the [`RawModel`] snapshot was built with.
-    pub fn set_quant_mode(&mut self, mode: uae_tensor::QuantMode) {
-        self.model.set_quant_mode(mode);
-    }
 }
 
 /// Per-query sampler state between column rounds.
@@ -128,6 +163,7 @@ pub fn progressive_sample_batch(
 
 /// [`progressive_sample_batch`] writing all tensor traffic into a
 /// caller-owned [`BatchScratch`]. Bit-exact with the allocating path.
+/// Large batches are sharded across the kernel pool (see the module docs).
 pub fn progressive_sample_batch_with(
     raw: &RawModel,
     schema: &VirtualSchema,
@@ -136,18 +172,86 @@ pub fn progressive_sample_batch_with(
     seeds: &[u64],
     scratch: &mut BatchScratch,
 ) -> Vec<f64> {
+    let shards = shard_count(vqs.len(), uae_tensor::pool::pool_threads());
+    progressive_sample_batch_sharded(raw, schema, vqs, s, seeds, shards, scratch)
+}
+
+/// How many interleaved shards a batch of `n` queries is split into on a
+/// pool of `threads` threads. Two shards per thread let the pool balance
+/// queries of uneven cost; `1` means one unsharded walk.
+fn shard_count(n: usize, threads: usize) -> usize {
+    if threads <= 1 {
+        return 1;
+    }
+    (2 * threads).min(n / MIN_SHARD_QUERIES).max(1)
+}
+
+/// [`progressive_sample_batch_with`] with an explicit shard count instead
+/// of one derived from the pool width, so tests can pin the sharding
+/// independently of the host. Every shard count returns the same bits.
+#[doc(hidden)]
+pub fn progressive_sample_batch_sharded(
+    raw: &RawModel,
+    schema: &VirtualSchema,
+    vqs: &[VirtualQuery],
+    s: usize,
+    seeds: &[u64],
+    shards: usize,
+    scratch: &mut BatchScratch,
+) -> Vec<f64> {
     assert_eq!(vqs.len(), seeds.len(), "one seed per query");
+    let k = shards.min(vqs.len()).max(1);
+    if k == 1 {
+        return walk(raw, schema, vqs, seeds, s, 0, 1, &mut scratch.walk);
+    }
+    let mode = scratch.walk.model.quant_mode();
+    if scratch.shards.len() < k {
+        scratch.shards.resize_with(k, || {
+            let mut shard = WalkScratch::default();
+            shard.model.set_quant_mode(mode);
+            Mutex::new(shard)
+        });
+    }
+    let shard_scratch = &scratch.shards;
+    // A panicking shard re-raises here, after every other shard finished.
+    let parts = uae_tensor::pool::parallel_map(k, |shard| {
+        walk(raw, schema, vqs, seeds, s, shard, k, &mut shard_scratch[shard].lock())
+    });
+    let mut results = vec![0.0f64; vqs.len()];
+    for (shard, part) in parts.into_iter().enumerate() {
+        for (j, sel) in part.into_iter().enumerate() {
+            results[shard + j * k] = sel;
+        }
+    }
+    results
+}
+
+/// Walk the queries `shard, shard + k, shard + 2k, …` of the batch in
+/// lock-step column rounds; returns their estimates in that order.
+#[allow(clippy::too_many_arguments)]
+fn walk(
+    raw: &RawModel,
+    schema: &VirtualSchema,
+    vqs: &[VirtualQuery],
+    seeds: &[u64],
+    s: usize,
+    shard: usize,
+    k: usize,
+    scratch: &mut WalkScratch,
+) -> Vec<f64> {
     let s = s.max(1);
     let width = schema.input_width();
-    let BatchScratch { model, stacked, spare, prefix_pool, round, offsets, intern, created } =
+    let WalkScratch { model, stacked, spare, prefix_pool, round, offsets, intern, created } =
         scratch;
-    if prefix_pool.len() < vqs.len() {
-        prefix_pool.resize_with(vqs.len(), Tensor::default);
+    let members = || vqs.iter().zip(seeds).skip(shard).step_by(k);
+    let n = members().len();
+    if prefix_pool.len() < n {
+        prefix_pool.resize_with(n, Tensor::default);
     }
-    let mut results = vec![0.0f64; vqs.len()];
-    let mut states: Vec<Option<QueryState<'_>>> = Vec::with_capacity(vqs.len());
+    let mut results = vec![0.0f64; n];
+    let mut states: Vec<Option<QueryState<'_>>> = Vec::with_capacity(n);
     let mut max_last = 0usize;
-    for (i, vq) in vqs.iter().enumerate() {
+    for (i, (vq, &seed)) in members().enumerate() {
         if vq.is_empty() {
             states.push(None);
             continue;
@@ -163,7 +267,7 @@ pub fn progressive_sample_batch_with(
         prefix_rows.fill_zero();
         states.push(Some(QueryState {
             vq,
-            rng: StdRng::seed_from_u64(seeds[i]),
+            rng: StdRng::seed_from_u64(seed),
             last,
             prefix_rows,
             row_prefix: vec![0; s],
@@ -383,4 +487,24 @@ fn intern_pair(
         created.push(key);
         created.len() - 1
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_count_rule() {
+        // A pool of width 1 never shards.
+        assert_eq!(shard_count(64, 1), 1);
+        // Fewer than two shards' worth of queries stays one walk.
+        assert_eq!(shard_count(0, 2), 1);
+        assert_eq!(shard_count(15, 2), 1);
+        assert_eq!(shard_count(16, 2), 2);
+        assert_eq!(shard_count(31, 2), 3);
+        // At most two shards per pool thread.
+        assert_eq!(shard_count(64, 2), 4);
+        assert_eq!(shard_count(64, 4), 8);
+        assert_eq!(shard_count(1000, 8), 16);
+    }
 }

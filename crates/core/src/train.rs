@@ -235,7 +235,15 @@ mod tests {
         for _ in 0..80 {
             let mut grads = GradStore::zeros_like(&store);
             let mut tape = Tape::new(&store);
-            let loss = query_loss(&mut tape, &model, &schema, &[tq.clone()], &dps, 1e4, &mut rng);
+            let loss = query_loss(
+                &mut tape,
+                &model,
+                &schema,
+                std::slice::from_ref(&tq),
+                &dps,
+                1e4,
+                &mut rng,
+            );
             losses.push(tape.value(loss).scalar_value());
             tape.backward(loss, &mut grads);
             opt.step(&mut store, &grads);

@@ -2,16 +2,22 @@
 //! RNG state it returns bit-identical estimates to the sequential
 //! progressive sampler, across wildcards, factorized (split) columns, and
 //! weighted (fanout) steps — and its first-step memo must refresh whenever
-//! the weights change.
+//! the weights change. Splitting a batch into query shards must be
+//! invisible too: every shard count returns the same bits.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uae_core::infer::{progressive_sample, progressive_sample_batch};
+use uae_core::infer::{
+    progressive_sample, progressive_sample_batch, progressive_sample_with, InferScratch,
+};
+use uae_core::infer_batch::{progressive_sample_batch_sharded, BatchScratch};
+use uae_core::model::RawModel;
+use uae_core::serialize::load_params;
 use uae_core::vquery::VirtualQuery;
-use uae_core::{ResMade, ResMadeConfig, TrainConfig, Uae, UaeConfig, VirtualSchema};
+use uae_core::{QuantMode, ResMade, ResMadeConfig, TrainConfig, Uae, UaeConfig, VirtualSchema};
 use uae_data::{census_like, Table, Value};
 use uae_query::{generate_workload, Predicate, Query, WorkloadSpec};
 use uae_tensor::ParamStore;
@@ -180,4 +186,191 @@ fn first_step_cache_refreshes_after_training() {
     uae.ingest_data(&extra, 1);
     let after_ingest = uae.estimate_batch(std::slice::from_ref(&q));
     assert_ne!(after[0], after_ingest[0], "stale cache after ingest_data");
+}
+
+/// Shard counts the sharded-equivalence tests sweep; 1 is the unsharded
+/// walk.
+const SHARD_COUNTS: std::ops::RangeInclusive<usize> = 1..=5;
+
+/// A snapshot of `uae`'s trained weights in `mode` (the estimator's own
+/// snapshot is private).
+fn snapshot_of(uae: &Uae, cfg: &UaeConfig, mode: QuantMode) -> RawModel {
+    let mut store = ParamStore::new();
+    let model = ResMade::new(&mut store, uae.schema(), &cfg.model);
+    load_params(&mut store, &uae.save_weights()).expect("same architecture");
+    model.snapshot_with(&store, mode)
+}
+
+fn seeds_for(n: usize, base: u64) -> Vec<u64> {
+    (0..n as u64).map(|i| base ^ (0x9e37_79b9 * (i + 1))).collect()
+}
+
+/// The sequential oracle (one `progressive_sample_with` per query) against
+/// the batched sampler at every shard count, bit for bit. One scratch
+/// serves every call and the sweep runs twice, so warm shard scratches are
+/// reused across shard counts.
+fn assert_shard_invariant(
+    raw: &RawModel,
+    schema: &VirtualSchema,
+    vqs: &[VirtualQuery],
+    s: usize,
+    seeds: &[u64],
+    mode: QuantMode,
+) -> Vec<f64> {
+    let mut seq_scratch = InferScratch::new();
+    seq_scratch.set_quant_mode(mode);
+    let sequential: Vec<f64> = vqs
+        .iter()
+        .zip(seeds)
+        .map(|(vq, &seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            progressive_sample_with(raw, schema, vq, s, &mut rng, &mut seq_scratch)
+        })
+        .collect();
+    let mut scratch = BatchScratch::new();
+    scratch.set_quant_mode(mode);
+    for pass in 0..2 {
+        for k in SHARD_COUNTS {
+            let got = progressive_sample_batch_sharded(raw, schema, vqs, s, seeds, k, &mut scratch);
+            assert_eq!(got.len(), vqs.len());
+            for (i, (w, g)) in sequential.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    w.to_bits(),
+                    g.to_bits(),
+                    "query {i}, {k} shards, pass {pass}: sequential {w} vs sharded {g}"
+                );
+            }
+        }
+    }
+    sequential
+}
+
+/// A mixed census batch with empty and no-predicate queries interleaved,
+/// so every shard count puts shortcuts and sampled queries in different
+/// shards.
+#[test]
+fn sharded_batches_match_sequential_on_mixed_workload() {
+    let t = census_like(900, 17);
+    let cfg = quick_cfg();
+    let mut uae = Uae::new(&t, cfg.clone());
+    uae.train_data(1);
+    let workload = generate_workload(&t, &WorkloadSpec::random(36, 43), &HashSet::new());
+    let mut queries: Vec<Query> = workload.into_iter().map(|lq| lq.query).collect();
+    // Age lives in 17..90: a bound beyond it makes the region empty.
+    let empty = Query::new(vec![Predicate::ge(0, 500i64)]);
+    for at in [3, 11, 20] {
+        queries.insert(at, empty.clone());
+    }
+    for at in [0, 7, 30] {
+        queries.insert(at, Query::default());
+    }
+    let raw = snapshot_of(&uae, &cfg, QuantMode::F32);
+    let vqs: Vec<VirtualQuery> = queries.iter().map(|q| uae.translate(q)).collect();
+    assert!(vqs[4].is_empty(), "the out-of-domain query must translate to an empty region");
+    let seeds = seeds_for(vqs.len(), 0x5eed);
+    let sels = assert_shard_invariant(&raw, uae.schema(), &vqs, 120, &seeds, QuantMode::F32);
+    assert_eq!(sels[4], 0.0);
+    assert_eq!(sels[0], 1.0);
+    assert!(sels.iter().any(|&s| s > 0.0 && s < 1.0), "degenerate workload");
+}
+
+/// Factorized wide columns: `LoOfSplit` regions depend on each row's
+/// sampled hi code, tracked per query whatever shard the query lands in.
+#[test]
+fn sharded_batches_match_sequential_with_split_columns() {
+    let rows = 300;
+    let cols = vec![
+        ("wide".to_owned(), (0..rows).map(|r| Value::Int((r * 13 % 120) as i64)).collect()),
+        ("mid".to_owned(), (0..rows).map(|r| Value::Int((r % 9) as i64)).collect()),
+        ("small".to_owned(), (0..rows).map(|r| Value::Int((r % 4) as i64)).collect()),
+    ];
+    let t = Table::from_columns("t", cols);
+    let cfg = UaeConfig { factor_threshold: 16, ..quick_cfg() };
+    let mut uae = Uae::new(&t, cfg.clone());
+    uae.train_data(1);
+    let mut queries = Vec::new();
+    for k in 0..6i64 {
+        queries.push(Query::new(vec![Predicate::ge(0, 5 + k), Predicate::le(0, 87 - 3 * k)]));
+        queries.push(Query::new(vec![Predicate::le(0, 40 + k), Predicate::eq(2, k % 4)]));
+        queries.push(Query::new(vec![Predicate::eq(1, k % 9)]));
+        queries.push(Query::new(vec![
+            Predicate::ge(0, 90 + k),
+            Predicate::le(1, 5),
+            Predicate::ge(2, 2),
+        ]));
+    }
+    queries.insert(9, Query::default());
+    let raw = snapshot_of(&uae, &cfg, QuantMode::F32);
+    let vqs: Vec<VirtualQuery> = queries.iter().map(|q| uae.translate(q)).collect();
+    assert!(uae.schema().num_virtual() > t.num_cols(), "the wide column must be factorized");
+    let seeds = seeds_for(vqs.len(), 0x5b1);
+    assert_shard_invariant(&raw, uae.schema(), &vqs, 120, &seeds, QuantMode::F32);
+}
+
+/// The int8 forward is row-independent like the f32 one, so sharding is
+/// invisible under `QuantMode::Int8` too. Shard scratches take the mode
+/// whether they exist before `set_quant_mode` or are created after it.
+#[test]
+fn sharded_batches_match_sequential_under_int8() {
+    let t = census_like(900, 19);
+    let cfg = UaeConfig { estimate_samples: 150, ..quick_cfg() };
+    let mut uae = Uae::new(&t, cfg.clone());
+    uae.train_data(1);
+    let workload = generate_workload(&t, &WorkloadSpec::random(30, 47), &HashSet::new());
+    let vqs: Vec<VirtualQuery> = workload.iter().map(|lq| uae.translate(&lq.query)).collect();
+    let raw = snapshot_of(&uae, &cfg, QuantMode::Int8);
+    let seeds = seeds_for(vqs.len(), 0x1e8);
+    let int8 = assert_shard_invariant(&raw, uae.schema(), &vqs, 150, &seeds, QuantMode::Int8);
+
+    // Shards created in f32, switched to int8 afterwards.
+    let mut scratch = BatchScratch::new();
+    let f32_sels =
+        progressive_sample_batch_sharded(&raw, uae.schema(), &vqs, 150, &seeds, 4, &mut scratch);
+    scratch.set_quant_mode(QuantMode::Int8);
+    let switched =
+        progressive_sample_batch_sharded(&raw, uae.schema(), &vqs, 150, &seeds, 4, &mut scratch);
+    assert!(int8.iter().zip(&switched).all(|(a, b)| a.to_bits() == b.to_bits()));
+    assert!(
+        int8.iter().zip(&f32_sels).any(|(a, b)| a.to_bits() != b.to_bits()),
+        "int8 and f32 forwards should differ somewhere, or this test proves nothing"
+    );
+}
+
+/// Weighted (fanout-scaled) steps, as `JoinUae` translates unjoined
+/// dimensions: importance sampling from the reweighted conditional,
+/// including a weighted last column and an all-zero (empty) weight vector.
+#[test]
+fn sharded_batches_match_sequential_with_weighted_steps() {
+    let rows = 200;
+    let cols = vec![
+        ("a".to_owned(), (0..rows).map(|r| Value::Int((r % 6) as i64)).collect()),
+        ("b".to_owned(), (0..rows).map(|r| Value::Int((r % 5) as i64)).collect()),
+        ("c".to_owned(), (0..rows).map(|r| Value::Int((r % 3) as i64)).collect()),
+    ];
+    let t = Table::from_columns("t", cols);
+    let schema = VirtualSchema::build(&t, usize::MAX);
+    let mut store = ParamStore::new();
+    let model =
+        ResMade::new(&mut store, &schema, &ResMadeConfig { hidden: 16, blocks: 1, seed: 3 });
+    let raw = model.snapshot(&store);
+
+    let mut vqs: Vec<VirtualQuery> = Vec::new();
+    for k in 0..20u32 {
+        let lo = (k % 5) as i64;
+        let q = Query::new(vec![Predicate::ge(1, lo), Predicate::le(1, 4)]);
+        let mut vq = VirtualQuery::build(&t, &schema, &q);
+        let w: Vec<f64> = (0..6).map(|c| ((c + k) % 4) as f64 * 0.75).collect();
+        vq.set_weighted(0, w);
+        if k % 3 == 0 {
+            vq.set_weighted(2, vec![0.7, 1.3, 2.0]);
+        }
+        vqs.push(vq);
+    }
+    let mut dead = VirtualQuery::build(&t, &schema, &Query::new(vec![Predicate::eq(1, 2i64)]));
+    dead.set_weighted(0, vec![0.0; 6]);
+    vqs.insert(6, dead);
+
+    let seeds = seeds_for(vqs.len(), 0xfeed);
+    let sels = assert_shard_invariant(&raw, &schema, &vqs, 150, &seeds, QuantMode::F32);
+    assert_eq!(sels[6], 0.0);
 }

@@ -5,12 +5,15 @@
 //! fault-free run, and (c) record each recovery step in the serve
 //! telemetry.
 
+use uae_core::infer_batch::{progressive_sample_batch_sharded, BatchScratch};
+use uae_core::vquery::VirtualQuery;
 use uae_core::{
-    EstimateSource, LoadError, ResMadeConfig, ServeEvent, ServeMemoryObserver, TrainConfig, Uae,
-    UaeConfig,
+    EstimateSource, LoadError, ResMade, ResMadeConfig, ServeEvent, ServeMemoryObserver,
+    TrainConfig, Uae, UaeConfig, VirtualSchema,
 };
 use uae_data::{Table, Value};
 use uae_query::{Predicate, Query};
+use uae_tensor::ParamStore;
 
 fn table() -> Table {
     Table::from_columns(
@@ -43,6 +46,19 @@ fn workload() -> Vec<Query> {
         Query::new(vec![Predicate::le(1, 4i64)]),
         Query::new(vec![Predicate::ge(0, 45i64)]),
     ]
+}
+
+/// Twenty-four queries: enough for the batched sampler to split the batch
+/// into query shards on a multi-threaded kernel pool.
+fn large_workload() -> Vec<Query> {
+    (0..24i64)
+        .map(|k| match k % 4 {
+            0 => Query::new(vec![Predicate::eq(0, k * 2)]),
+            1 => Query::new(vec![Predicate::ge(0, k), Predicate::le(0, k + 20)]),
+            2 => Query::new(vec![Predicate::eq(1, k % 7), Predicate::ge(0, k)]),
+            _ => Query::new(vec![Predicate::le(1, k % 7)]),
+        })
+        .collect()
 }
 
 fn cards(uae: &Uae, queries: &[Query]) -> Vec<uae_core::Estimate> {
@@ -122,25 +138,31 @@ fn transient_nan_recovers_via_retry() {
 /// A query that panics mid-batch: the batch attempt is isolated, healthy
 /// queries are re-run on their original seeds (bit-identical results), the
 /// poisoned query degrades to the baseline, and the process — including
-/// the tensor worker pool — keeps serving afterwards.
+/// the tensor worker pool — keeps serving afterwards. The large batch is
+/// split into query shards on a multi-threaded kernel pool.
 #[test]
 fn panicking_query_is_isolated_from_the_batch() {
+    for (queries, target) in [(workload(), 1), (large_workload(), 13)] {
+        assert_panic_isolated(&queries, target);
+    }
+}
+
+fn assert_panic_isolated(queries: &[Query], target: usize) {
     let n = table().num_rows() as f64;
-    let queries = workload();
     let base = quick_uae(13);
     let clean = base.clone();
     let mut faulted = base.clone();
-    faulted.serve_config_mut().fault.panic_queries = vec![1];
+    faulted.serve_config_mut().fault.panic_queries = vec![target as u64];
     let (obs, log) = ServeMemoryObserver::new();
     faulted.set_serve_observer(Box::new(obs));
 
-    let want = cards(&clean, &queries);
-    let got = cards(&faulted, &queries);
+    let want = cards(&clean, queries);
+    let got = cards(&faulted, queries);
 
-    assert_eq!(got[1].source, EstimateSource::Baseline);
-    assert!(got[1].card.is_finite() && (0.0..=n).contains(&got[1].card));
+    assert_eq!(got[target].source, EstimateSource::Baseline);
+    assert!(got[target].card.is_finite() && (0.0..=n).contains(&got[target].card));
     for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-        if i == 1 {
+        if i == target {
             continue;
         }
         assert_eq!(
@@ -156,13 +178,67 @@ fn panicking_query_is_isolated_from_the_batch() {
     {
         let events = log.lock().expect("event log");
         assert!(events.iter().any(|e| matches!(e, ServeEvent::PanicIsolated { index: None })));
-        assert!(events.iter().any(|e| matches!(e, ServeEvent::PanicIsolated { index: Some(1) })));
+        assert!(events.iter().any(
+            |e| matches!(e, ServeEvent::PanicIsolated { index: Some(i) } if *i == target as u64)
+        ));
     }
 
     // The serving loop survives: the same estimator keeps answering, and
     // the shared tensor pool still runs parallel work.
     let after = faulted.try_estimate_card(&queries[0]).expect("still serving");
     assert!(after.card.is_finite());
+    let doubled = uae_tensor::pool::parallel_map(64, |i| i * 2);
+    assert!(doubled.iter().enumerate().all(|(i, &v)| v == i * 2));
+}
+
+/// A panic raised *inside* one shard's walk — here a query translated
+/// against a wider schema than the model's — re-raises on the caller after
+/// the other shards finish, and leaves the shard scratches and the kernel
+/// pool serving bit-identical answers afterwards.
+#[test]
+fn shard_panic_reraises_on_the_caller() {
+    let uae = quick_uae(18);
+    let schema = uae.schema().clone();
+    let mut store = ParamStore::new();
+    let model =
+        ResMade::new(&mut store, &schema, &ResMadeConfig { hidden: 24, blocks: 1, seed: 18 });
+    let raw = model.snapshot(&store);
+    let healthy: Vec<VirtualQuery> = large_workload().iter().map(|q| uae.translate(q)).collect();
+    let seeds: Vec<u64> = (0..healthy.len() as u64).map(|i| 0xbad + 7 * i).collect();
+    let want = progressive_sample_batch_sharded(
+        &raw,
+        &schema,
+        &healthy,
+        60,
+        &seeds,
+        1,
+        &mut BatchScratch::new(),
+    );
+
+    let wider = Table::from_columns(
+        "wider",
+        (0..4)
+            .map(|c| (format!("c{c}"), (0..50i64).map(|i| Value::Int(i % 5)).collect()))
+            .collect(),
+    );
+    let wider_schema = VirtualSchema::build(&wider, usize::MAX);
+    let bad = VirtualQuery::build(&wider, &wider_schema, &Query::new(vec![Predicate::eq(3, 1i64)]));
+    let mut poisoned = healthy.clone();
+    poisoned[10] = bad;
+
+    let mut scratch = BatchScratch::new();
+    for k in [2, 3, 5] {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            progressive_sample_batch_sharded(&raw, &schema, &poisoned, 60, &seeds, k, &mut scratch)
+        }));
+        assert!(outcome.is_err(), "{k} shards: the malformed query must panic");
+        let got =
+            progressive_sample_batch_sharded(&raw, &schema, &healthy, 60, &seeds, k, &mut scratch);
+        assert!(
+            want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{k} shards: answers changed after a shard panicked"
+        );
+    }
     let doubled = uae_tensor::pool::parallel_map(64, |i| i * 2);
     assert!(doubled.iter().enumerate().all(|(i, &v)| v == i * 2));
 }

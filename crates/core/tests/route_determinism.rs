@@ -10,9 +10,9 @@ use std::sync::Arc;
 use uae_core::{
     BackendChoice, ResMadeConfig, RouteConfig, RoutedFleet, Router, TrainConfig, Uae, UaeConfig,
 };
-use uae_data::{kddcup_like, Table};
+use uae_data::{kddcup_like, Table, Value};
 use uae_estimators::{HistogramEstimator, SpnConfig, SpnEstimator};
-use uae_query::{generate_workload, CardEstimator, LabeledQuery, Query, WorkloadSpec};
+use uae_query::{generate_workload, CardEstimator, LabeledQuery, Predicate, Query, WorkloadSpec};
 
 fn wide_table() -> Table {
     // 32 columns ≥ the default wide_table threshold (30): the regime
@@ -35,7 +35,6 @@ fn test_cfg() -> RouteConfig {
 /// Queries pinned to the correlated pair (columns 0 and 1 share a
 /// group latent), guaranteeing some `Primary` decisions.
 fn correlated_queries() -> Vec<Query> {
-    use uae_query::Predicate;
     (0..4).map(|k| Query::new(vec![Predicate::le(0, k), Predicate::le(1, k + 1)])).collect()
 }
 
@@ -124,4 +123,25 @@ fn fleet_serves_bit_identically_on_replay() {
         fleet_a.primary().serve_stats().served > 0,
         "correlated shapes must still reach the primary"
     );
+}
+
+/// A predicate on a column the table does not have must not panic the
+/// router. On a narrow table the threshold policy keeps such a query on
+/// the primary, whose cascade rejects the unknown column with a typed
+/// error; the decision replays like any other.
+#[test]
+fn decide_on_unknown_column_routes_to_primary() {
+    let t = Table::from_columns(
+        "t",
+        vec![
+            ("x".into(), (0..100i64).map(|v| Value::Int(v % 10)).collect()),
+            ("y".into(), (0..100i64).map(|v| Value::Int(v % 5)).collect()),
+        ],
+    );
+    let hist: Arc<dyn CardEstimator> = Arc::new(HistogramEstimator::new(&t, 16));
+    let router = Router::threshold(&t, vec![hist], RouteConfig::default());
+    let q = Query::new(vec![Predicate::eq(9, 1i64)]);
+    let d = router.decide(&q);
+    assert_eq!(d.choice, BackendChoice::Primary);
+    assert_eq!(d, router.decide(&q), "the decision must replay identically");
 }

@@ -39,7 +39,7 @@ fn setup(factor_threshold: usize) -> (Table, VirtualSchema, ParamStore, ResMade)
 /// A mixed query stream: ranges on the split column, points, partial
 /// wildcards, a fanout-weighted step, and the empty query.
 fn mixed_stream(t: &Table, schema: &VirtualSchema) -> Vec<VirtualQuery> {
-    let mut vqs: Vec<VirtualQuery> = vec![
+    let mut vqs: Vec<VirtualQuery> = [
         Query::new(vec![Predicate::ge(0, 10i64), Predicate::le(0, 120i64)]),
         Query::new(vec![Predicate::eq(1, 4i64), Predicate::ge(2, 2i64)]),
         Query::new(vec![Predicate::le(0, 30i64), Predicate::eq(3, 1i64)]),

@@ -19,7 +19,8 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use uae_core::infer_batch::{
-    progressive_sample_batch, progressive_sample_batch_with, BatchScratch,
+    progressive_sample_batch, progressive_sample_batch_sharded, progressive_sample_batch_with,
+    BatchScratch,
 };
 use uae_core::vquery::VirtualQuery;
 use uae_core::{ResMade, ResMadeConfig, TrainConfig, Uae, UaeConfig, VirtualSchema};
@@ -125,6 +126,58 @@ fn steady_state_estimates_allocate_no_tensors() {
         global_delta / (rounds * vqs.len() as u64)
     );
     assert_eq!(tensor_delta, 0, "warm fixed-seed batch must not allocate tensors");
+
+    // --- sharded batch, fixed seeds: exact zero ------------------------
+    // A batch of 32 split into 4 query shards, pinned so the path is
+    // sharded whatever the host's core count. Each shard owns a persistent
+    // scratch inside the parent, warmed to its own fixed point.
+    let big: Vec<Query> = generate_workload(&t, &WorkloadSpec::random(32, 37), &HashSet::new())
+        .into_iter()
+        .map(|lq| lq.query)
+        .collect();
+    let big_vqs: Vec<VirtualQuery> =
+        big.iter().map(|q| VirtualQuery::build(&t, &schema, q)).collect();
+    let big_seeds: Vec<u64> = (0..big_vqs.len() as u64).map(|i| 0xbeef + 17 * i).collect();
+    let shards = 4;
+    let mut stable = 0;
+    for _ in 0..64 {
+        let before = tensor_alloc_count();
+        progressive_sample_batch_sharded(
+            &raw,
+            &schema,
+            &big_vqs,
+            200,
+            &big_seeds,
+            shards,
+            &mut scratch,
+        );
+        stable = if tensor_alloc_count() == before { stable + 1 } else { 0 };
+        if stable >= 2 {
+            break;
+        }
+    }
+    let tensors_before = tensor_alloc_count();
+    let global_before = GLOBAL_ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..rounds {
+        progressive_sample_batch_sharded(
+            &raw,
+            &schema,
+            &big_vqs,
+            200,
+            &big_seeds,
+            shards,
+            &mut scratch,
+        );
+    }
+    let tensor_delta = tensor_alloc_count() - tensors_before;
+    let global_delta = GLOBAL_ALLOCS.load(Ordering::Relaxed) - global_before;
+    let per_query = tensor_delta / (rounds * big_vqs.len() as u64);
+    eprintln!(
+        "sharded batch steady state ({shards} shards, fixed seeds): {per_query} tensor \
+         allocs/query, {} global allocs/query",
+        global_delta / (rounds * big_vqs.len() as u64)
+    );
+    assert_eq!(tensor_delta, 0, "warm sharded batch must not allocate tensors");
 
     // Contrast: the allocating entry point (fresh scratch per call) on the
     // same workload — the floor a cold call pays even post-refactor. The

@@ -83,7 +83,7 @@ fn domain_spectrum_matches_paper() {
     // date column fills most of it); Kddcup: 2..43.
     let dmv = dmv_like(20_000, 1);
     let sizes = dmv.domain_sizes();
-    assert!(sizes.iter().any(|&s| s == 2));
+    assert!(sizes.contains(&2));
     assert!(sizes.iter().any(|&s| s > 1_000));
     let kdd = kddcup_like(3_000, 100, 1);
     assert!(kdd.domain_sizes().iter().all(|&s| (2..=43).contains(&s)));

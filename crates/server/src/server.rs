@@ -86,8 +86,10 @@ pub struct ServerConfig {
     pub executors: usize,
     /// Override the shared tensor-pool worker count before serving
     /// (`None` leaves the pool's own default / `UAE_POOL_THREADS`
-    /// untouched). Executors already parallelise across batches, so
-    /// benches typically shrink the intra-op pool here.
+    /// untouched). The pool runs the matmuls and also the progressive
+    /// sampler's query shards, so a micro-batch of 16+ queries spreads
+    /// over it; `Some(1)` keeps every batch on its executor thread and
+    /// turns sharding off.
     pub kernel_threads: Option<usize>,
     /// Server-default degradation ladder (tenants may override).
     pub degrade: DegradeConfig,

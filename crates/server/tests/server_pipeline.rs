@@ -301,7 +301,7 @@ fn hot_swap_race_answers_every_request_from_exactly_one_version() {
         std::thread::spawn(move || {
             let mut swaps = 0u64;
             while !stop.load(std::sync::atomic::Ordering::SeqCst) {
-                let rows = if swaps % 2 == 0 { rows_b } else { rows_a };
+                let rows = if swaps.is_multiple_of(2) { rows_b } else { rows_a };
                 registry.swap_model("census", quick_uae(rows, 71 + swaps)).expect("registered");
                 swaps += 1;
             }

@@ -1011,7 +1011,7 @@ fn accumulate(node_grads: &mut [Option<Tensor>], id: NodeId, g: Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::tensor_alloc_count;
+    use crate::tensor::thread_alloc_count;
 
     fn store_with(values: &[(&str, Tensor)]) -> (ParamStore, Vec<ParamId>) {
         let mut s = ParamStore::new();
@@ -1208,13 +1208,13 @@ mod tests {
             build_graph(&mut tape, &ids, &x, &mask);
         }
         let warmed = ws.num_value_buffers();
-        let before = tensor_alloc_count();
+        let before = thread_alloc_count();
         for _ in 0..5 {
             let mut tape = Tape::with_workspace(&store, &mut ws);
             build_graph(&mut tape, &ids, &x, &mask);
         }
         assert_eq!(
-            tensor_alloc_count(),
+            thread_alloc_count(),
             before,
             "steady-state forwards on a warmed workspace must not allocate tensors"
         );

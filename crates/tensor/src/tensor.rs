@@ -25,7 +25,22 @@ pub fn tensor_alloc_count() -> u64 {
 fn note_alloc(elems: usize) {
     if elems > 0 {
         TENSOR_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    static THREAD_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The calling thread's share of [`tensor_alloc_count`]. Unit tests in this
+/// crate run concurrently in one process, so their allocation checks must
+/// not see each other's tensors.
+#[cfg(test)]
+pub(crate) fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.with(|n| n.get())
 }
 
 /// A dense row-major matrix of `f32` values.
@@ -855,22 +870,22 @@ mod tests {
     #[test]
     fn resize_within_capacity_does_not_allocate() {
         let mut t = Tensor::zeros(8, 8);
-        let before = tensor_alloc_count();
+        let before = thread_alloc_count();
         t.resize(4, 4); // shrink: reuse
         t.resize(8, 8); // regrow within capacity: reuse
         t.resize(2, 16); // reshape, same element count: reuse
-        assert_eq!(tensor_alloc_count(), before, "capacity reuse must not allocate");
+        assert_eq!(thread_alloc_count(), before, "capacity reuse must not allocate");
         t.resize(16, 16); // genuine growth
-        assert_eq!(tensor_alloc_count(), before + 1);
+        assert_eq!(thread_alloc_count(), before + 1);
     }
 
     #[test]
     fn copy_from_matches_clone() {
         let src = Tensor::from_vec(2, 3, vec![1.0, -2.0, 3.0, 0.5, 5.0, -6.0]);
         let mut dst = Tensor::zeros(4, 4);
-        let before = tensor_alloc_count();
+        let before = thread_alloc_count();
         dst.copy_from(&src);
         assert_eq!(dst, src);
-        assert_eq!(tensor_alloc_count(), before, "copy_from within capacity must reuse");
+        assert_eq!(thread_alloc_count(), before, "copy_from within capacity must reuse");
     }
 }
