@@ -20,14 +20,19 @@ UAE_FORCE_SCALAR=1 cargo test -q -p uae-core --test quant_parity
 
 echo "== query sharding: equivalence + zero-alloc at pool widths 1 and 4 =="
 # Width 1 keeps every batch one unsharded walk; width 4 splits a batch of
-# 32+ queries into up to 8 shards, even on a 2-core machine.
+# 32+ queries into up to 8 shards, even on a 2-core machine. Every estimate
+# goes through the sharding dispatch, single queries included.
 for threads in 1 4; do
     UAE_POOL_THREADS=$threads cargo test -q -p uae-core \
-        --test batch_equivalence --test zero_alloc --test fault_injection
+        --test batch_equivalence --test zero_alloc --test fault_injection \
+        --test adversarial --test workspace_equivalence
 done
 
 echo "== benches compile =="
 cargo bench --no-run
+
+echo "== serving benchmark builds (its own workspace, outside tier-1) =="
+cargo build --release --offline --manifest-path servebench/Cargo.toml
 
 echo "== smoke: train -> checkpoint -> resume (bit-exact) =="
 cargo run --release --example train_checkpoint_resume -- \

@@ -1,13 +1,17 @@
 //! Estimation-cost scaling: progressive sampling latency vs the sample
 //! count S and vs the number of constrained columns (the two levers behind
 //! the paper's §5.5 efficiency claims).
+//!
+//! Times the engine that serves a single estimate: the batched sampler on
+//! a batch of one, with a persistent scratch and a fresh seed per call —
+//! the path `Uae::try_estimate_card` takes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use uae_core::infer::progressive_sample;
+use std::slice;
+use uae_core::infer_batch::{progressive_sample_batch_with, BatchScratch};
 use uae_core::{ResMade, ResMadeConfig, VirtualQuery, VirtualSchema};
 use uae_query::{Predicate, Query};
-use uae_tensor::rng::seeded_rng;
 use uae_tensor::ParamStore;
 
 fn bench_samples_scaling(c: &mut Criterion) {
@@ -29,8 +33,20 @@ fn bench_samples_scaling(c: &mut Criterion) {
     g.sample_size(20);
     for &s in &[50usize, 100, 200, 400] {
         g.bench_with_input(BenchmarkId::from_parameter(s), &s, |b, &s| {
-            let mut rng = seeded_rng(7);
-            b.iter(|| black_box(progressive_sample(&raw, &schema, &vq, s, &mut rng)));
+            let mut scratch = BatchScratch::new();
+            let mut seed = 7u64;
+            b.iter(|| {
+                seed += 1;
+                let vqs = slice::from_ref(&vq);
+                black_box(progressive_sample_batch_with(
+                    &raw,
+                    &schema,
+                    vqs,
+                    s,
+                    &[seed],
+                    &mut scratch,
+                ))
+            });
         });
     }
     g.finish();
@@ -52,8 +68,20 @@ fn bench_constrained_columns(c: &mut Criterion) {
             (0..ncols).map(|c| Predicate::ge(c, table.column(c).value(0).clone())).collect();
         let vq = VirtualQuery::build(&table, &schema, &Query::new(preds));
         g.bench_with_input(BenchmarkId::from_parameter(ncols), &(), |b, ()| {
-            let mut rng = seeded_rng(9);
-            b.iter(|| black_box(progressive_sample(&raw, &schema, &vq, 100, &mut rng)));
+            let mut scratch = BatchScratch::new();
+            let mut seed = 9u64;
+            b.iter(|| {
+                seed += 1;
+                let vqs = slice::from_ref(&vq);
+                black_box(progressive_sample_batch_with(
+                    &raw,
+                    &schema,
+                    vqs,
+                    100,
+                    &[seed],
+                    &mut scratch,
+                ))
+            });
         });
     }
     g.finish();

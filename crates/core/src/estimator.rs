@@ -3,6 +3,7 @@
 //! progressive-sampling estimation.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::slice;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -16,7 +17,6 @@ use uae_tensor::{
 };
 
 use crate::encoding::VirtualSchema;
-use crate::infer::{progressive_sample_with, InferScratch};
 use crate::infer_batch::{progressive_sample_batch_with, BatchScratch};
 use crate::model::{RawModel, ResMade, ResMadeConfig};
 use crate::serialize::{CheckpointError, CheckpointState, LoadError};
@@ -69,10 +69,9 @@ impl Default for UaeConfig {
 struct EstCache {
     raw: Option<RawModel>,
     rng: StdRng,
-    /// Reusable buffers for the sequential and batched samplers. Training
-    /// invalidates `raw` but keeps these warm — their shapes depend only on
-    /// the schema and sample count, not on the weights.
-    scratch: InferScratch,
+    /// Reusable buffers of the batched sampler. Training invalidates `raw`
+    /// but keeps these warm — their shapes depend only on the schema and
+    /// sample count, not on the weights.
     batch: BatchScratch,
     serve: ServeState,
 }
@@ -228,7 +227,6 @@ impl Uae {
             est: Mutex::new(EstCache {
                 raw: None,
                 rng: StdRng::seed_from_u64(seed ^ 0xe57),
-                scratch: InferScratch::new(),
                 batch: BatchScratch::new(),
                 serve: ServeState::default(),
             }),
@@ -348,58 +346,112 @@ impl Uae {
         )
     }
 
-    /// Build the inference snapshot on demand and align both scratches'
-    /// numeric mode with the serving config. Mask packing and int8
-    /// quantization happen here — once per weight version, never per query.
-    fn ensure_snapshot(&self, est: &mut EstCache) {
+    /// Open one estimate call over `n` queries: build the inference
+    /// snapshot if needed (mask packing and int8 quantization happen here —
+    /// once per weight version, never per query), align the batch
+    /// scratch's numeric mode with the serving config, draw one seed per
+    /// query from the estimator's stream and reserve `n` serving indices.
+    /// Every query takes a seed and an index, sampled or not, so answers do
+    /// not depend on how a query stream is split into calls. Returns the
+    /// seeds and the first serving index.
+    fn open_call(&self, est: &mut EstCache, n: usize) -> (Vec<u64>, u64) {
         let mode = self.cfg.serve.quant;
         if est.raw.is_none() {
             est.raw = Some(self.model.snapshot_with(&self.store, mode));
         }
-        est.scratch.set_quant_mode(mode);
         est.batch.set_quant_mode(mode);
+        let seeds = (0..n).map(|_| est.rng.next_u64()).collect();
+        let base = est.serve.stats.served;
+        est.serve.stats.served += n as u64;
+        (seeds, base)
+    }
+
+    /// One batched sampler attempt over `vqs` (seed `seeds[k]` and serving
+    /// index `ids[k]` per query) under `catch_unwind`. When an attempt over
+    /// several queries panics, each query re-runs as a batch of one on its
+    /// own seed: a query's estimate depends only on (snapshot, query,
+    /// budget, seed), never on which queries share its walk, so healthy
+    /// queries stay bit-identical while the poisoned one panics again
+    /// alone. An attempt over one query is its own isolation. `None` marks
+    /// a query whose own attempt panicked.
+    fn attempt(
+        &self,
+        est: &mut EstCache,
+        vqs: &[VirtualQuery],
+        seeds: &[u64],
+        ids: &[u64],
+        samples: usize,
+    ) -> Vec<Option<f64>> {
+        let EstCache { raw, batch, serve, .. } = &mut *est;
+        let raw = raw.as_ref().expect("snapshot built by open_call");
+        let fault = &self.cfg.serve.fault;
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(idx) = ids.iter().find(|&&i| fault.panics(i)) {
+                panic!("uae-serve: fault-plan panic (query {idx})");
+            }
+            progressive_sample_batch_with(raw, &self.schema, vqs, samples, seeds, batch)
+        }));
+        if let Ok(sels) = run {
+            return sels.into_iter().map(Some).collect();
+        }
+        serve.stats.panics_isolated += 1;
+        let single = (vqs.len() == 1).then(|| ids[0]);
+        serve.emit(ServeEvent::PanicIsolated { index: single });
+        if single.is_some() {
+            return vec![None];
+        }
+        (0..vqs.len())
+            .flat_map(|k| {
+                let one = k..k + 1;
+                self.attempt(est, &vqs[one.clone()], &seeds[one.clone()], &ids[one], samples)
+            })
+            .collect()
+    }
+
+    /// The model tier of the cascade for one sampled query: its first
+    /// attempt (`None` when that panicked), then — when `accept` rejects
+    /// the value and retries are enabled — one retry on the derived seed
+    /// [`retry_seed`] with a `retry_boost`× budget, run as a batch of one
+    /// through [`Uae::attempt`]. Returns the accepted selectivity, or
+    /// `None` after recording a fallback (the caller picks what answers
+    /// instead), and whether the retry ran.
+    #[allow(clippy::too_many_arguments)]
+    fn model_tier(
+        &self,
+        est: &mut EstCache,
+        vq: &VirtualQuery,
+        qseed: u64,
+        idx: u64,
+        first: Option<f64>,
+        samples: usize,
+        accept: fn(f64) -> bool,
+    ) -> (Option<f64>, bool) {
+        let sc = &self.cfg.serve;
+        // A NaN fault models logits going non-finite mid-walk; a panicked
+        // attempt enters the cascade the same way.
+        let mut sel = first.filter(|_| !sc.fault.nan_hits(idx, 0)).unwrap_or(f64::NAN);
+        let retried = !accept(sel) && sc.retry;
+        if retried {
+            est.serve.stats.retries += 1;
+            est.serve.emit(ServeEvent::Retry { index: idx, value: sel });
+            let boosted = samples.max(1) * sc.retry_boost.max(1);
+            let again =
+                self.attempt(est, slice::from_ref(vq), &[retry_seed(qseed)], &[idx], boosted);
+            sel = again[0].filter(|_| !sc.fault.nan_hits(idx, 1)).unwrap_or(f64::NAN);
+        }
+        if accept(sel) {
+            return (Some(sel), retried);
+        }
+        est.serve.stats.fallbacks += 1;
+        est.serve.emit(ServeEvent::Fallback { index: idx, value: sel });
+        (None, retried)
     }
 
     /// Estimate the selectivity of a pre-translated query (supports
-    /// [`crate::vquery::StepRegion::Weighted`] fanout scaling).
-    ///
-    /// Each query runs on a private RNG seeded from the estimator's stream,
-    /// so a sequence of `estimate_vquery` calls and one
-    /// [`Uae::estimate_vquery_batch`] call over the same queries consume
-    /// the stream identically and return bit-identical estimates.
+    /// [`crate::vquery::StepRegion::Weighted`] fanout scaling): a batch of
+    /// one through [`Uae::estimate_vquery_batch`].
     pub fn estimate_vquery(&self, vq: &VirtualQuery) -> f64 {
-        let mut est = self.est.lock();
-        self.ensure_snapshot(&mut est);
-        let EstCache { raw, rng, scratch, serve, .. } = &mut *est;
-        let raw = raw.as_ref().expect("snapshot just created");
-        let qseed = rng.next_u64();
-        let mut qrng = StdRng::seed_from_u64(qseed);
-        let sel = progressive_sample_with(
-            raw,
-            &self.schema,
-            vq,
-            self.cfg.estimate_samples,
-            &mut qrng,
-            scratch,
-        );
-        if sel.is_finite() {
-            return sel.max(0.0);
-        }
-        // Non-finite weights/logits: one retry on a derived substream with
-        // a boosted budget, then degrade to 0. Fanout-weighted vqueries
-        // have no histogram analogue, and join estimates may legitimately
-        // exceed selectivity 1, so neither the baseline tier nor the upper
-        // clamp of the query cascade applies here.
-        serve.stats.retries += 1;
-        let samples = self.cfg.estimate_samples.max(1) * self.cfg.serve.retry_boost.max(1);
-        let mut qrng = StdRng::seed_from_u64(retry_seed(qseed));
-        let sel = progressive_sample_with(raw, &self.schema, vq, samples, &mut qrng, scratch);
-        if sel.is_finite() {
-            sel.max(0.0)
-        } else {
-            serve.stats.fallbacks += 1;
-            0.0
-        }
+        self.estimate_vquery_batch(slice::from_ref(vq))[0]
     }
 
     /// Estimate the selectivities of a batch of pre-translated queries via
@@ -407,64 +459,28 @@ impl Uae {
     /// advance in lock-step column rounds sharing stacked forwards, the
     /// first-step distribution is memoized per weight snapshot, and sample
     /// rows with identical sampled prefixes share one forward row.
+    ///
+    /// Each query runs on a private RNG seeded from the estimator's stream,
+    /// so any split of a query sequence into calls returns bit-identical
+    /// estimates. Panics are isolated per query and a non-finite answer is
+    /// retried once, as in [`Uae::try_estimate_cards`]. Fanout-weighted
+    /// vqueries have no histogram analogue, and join estimates may
+    /// legitimately exceed selectivity 1, so neither the baseline tier nor
+    /// the upper clamp applies: a query the retry cannot mend answers `0`.
     pub fn estimate_vquery_batch(&self, vqs: &[VirtualQuery]) -> Vec<f64> {
         let mut est = self.est.lock();
-        self.ensure_snapshot(&mut est);
-        let EstCache { raw, rng, scratch, batch, serve } = &mut *est;
-        let raw = raw.as_ref().expect("snapshot just created");
-        let seeds: Vec<u64> = vqs.iter().map(|_| rng.next_u64()).collect();
+        let est = &mut *est;
+        let (seeds, base) = self.open_call(est, vqs.len());
+        let ids: Vec<u64> = (base..base + vqs.len() as u64).collect();
         let samples = self.cfg.estimate_samples;
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            progressive_sample_batch_with(raw, &self.schema, vqs, samples, &seeds, batch)
-        }));
-        let sels = match attempt {
-            Ok(sels) => sels,
-            Err(_) => {
-                // Isolate the poisoned query: re-run each query as its own
-                // single-query batch on its original seed. Per-query batch
-                // results do not depend on batch composition, so healthy
-                // queries stay bit-identical to the undisturbed batch.
-                serve.stats.panics_isolated += 1;
-                serve.emit(ServeEvent::PanicIsolated { index: None });
-                vqs.iter()
-                    .zip(&seeds)
-                    .map(|(vq, &seed)| {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            progressive_sample_batch_with(
-                                raw,
-                                &self.schema,
-                                std::slice::from_ref(vq),
-                                samples,
-                                &[seed],
-                                batch,
-                            )
-                        }))
-                        .ok()
-                        .and_then(|v| v.into_iter().next())
-                        .unwrap_or(f64::NAN)
-                    })
-                    .collect()
-            }
-        };
-        sels.into_iter()
-            .zip(vqs.iter().zip(&seeds))
-            .map(|(sel, (vq, &qseed))| {
-                if sel.is_finite() {
-                    return sel.max(0.0);
-                }
-                // Same light cascade as `estimate_vquery`: derived-seed
-                // boosted retry, then 0.
-                serve.stats.retries += 1;
-                let boosted = samples.max(1) * self.cfg.serve.retry_boost.max(1);
-                let mut qrng = StdRng::seed_from_u64(retry_seed(qseed));
-                let sel =
-                    progressive_sample_with(raw, &self.schema, vq, boosted, &mut qrng, scratch);
-                if sel.is_finite() {
-                    sel.max(0.0)
-                } else {
-                    serve.stats.fallbacks += 1;
-                    0.0
-                }
+        let firsts = self.attempt(est, vqs, &seeds, &ids, samples);
+        vqs.iter()
+            .zip(firsts)
+            .enumerate()
+            .map(|(k, (vq, first))| {
+                let (sel, _) =
+                    self.model_tier(est, vq, seeds[k], ids[k], first, samples, f64::is_finite);
+                sel.map_or(0.0, |s| s.max(0.0))
             })
             .collect()
     }
@@ -524,82 +540,6 @@ impl Uae {
         }
     }
 
-    /// Drive one sampled query through the health-check → retry → baseline
-    /// cascade. `first` is the first attempt's selectivity (`None` when the
-    /// attempt panicked); the retry re-samples sequentially on a derived
-    /// seed with a boosted budget, and the baseline is the lazily built
-    /// histogram over the training table. `samples` is the per-query
-    /// budget the attempt ran under; when it is a degradation-shrunken
-    /// budget (`degraded`), the retry boosts the shrunken budget and a
-    /// model answer is tagged [`EstimateSource::ModelDegraded`].
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_sampled(
-        &self,
-        idx: u64,
-        qseed: u64,
-        vq: &VirtualQuery,
-        remapped: &Query,
-        first: Option<f64>,
-        samples: usize,
-        degraded: bool,
-        raw: &RawModel,
-        scratch: &mut InferScratch,
-        serve: &mut ServeState,
-    ) -> Estimate {
-        let sc = &self.cfg.serve;
-        if degraded {
-            serve.stats.degraded += 1;
-            serve.emit(ServeEvent::Degraded {
-                index: idx,
-                samples,
-                configured: self.cfg.estimate_samples,
-            });
-        }
-        // A NaN fault models logits going non-finite mid-walk; a panicked
-        // attempt arrives as `None` and enters the cascade the same way.
-        let mut sel = match first {
-            Some(_) if sc.fault.nan_hits(idx, 0) => f64::NAN,
-            Some(v) => v,
-            None => f64::NAN,
-        };
-        let mut retried = false;
-        if !healthy(sel) && sc.retry {
-            serve.stats.retries += 1;
-            serve.emit(ServeEvent::Retry { index: idx, value: sel });
-            retried = true;
-            let samples = samples.max(1) * sc.retry_boost.max(1);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if sc.fault.panics(idx) {
-                    panic!("uae-serve: fault-plan panic (query {idx})");
-                }
-                let mut qrng = StdRng::seed_from_u64(retry_seed(qseed));
-                progressive_sample_with(raw, &self.schema, vq, samples, &mut qrng, scratch)
-            }));
-            sel = match outcome {
-                Ok(_) if sc.fault.nan_hits(idx, 1) => f64::NAN,
-                Ok(v) => v,
-                Err(_) => {
-                    serve.stats.panics_isolated += 1;
-                    serve.emit(ServeEvent::PanicIsolated { index: Some(idx) });
-                    f64::NAN
-                }
-            };
-        }
-        if !healthy(sel) {
-            serve.stats.fallbacks += 1;
-            serve.emit(ServeEvent::Fallback { index: idx, value: sel });
-            let baseline = {
-                let hist = serve.fallback.get_or_insert_with(|| {
-                    HistogramEstimator::new(&self.table, sc.fallback_buckets)
-                });
-                hist.estimate_selectivity(remapped)
-            };
-            return self.finish(idx, baseline, EstimateSource::Baseline, retried, serve);
-        }
-        let source = if degraded { EstimateSource::ModelDegraded } else { EstimateSource::Model };
-        self.finish(idx, sel, source, retried, serve)
-    }
-
     /// Estimate one query through the hardened serving cascade. Unknown
     /// columns are the only error; every `Ok` estimate is finite with a
     /// cardinality in `[0, N]` and carries its degradation provenance.
@@ -614,71 +554,23 @@ impl Uae {
     }
 
     /// [`Uae::try_estimate_card`] with an optional per-call progressive-
-    /// sample budget override. A budget **below** the configured
-    /// `estimate_samples` marks the estimate as SLO-degraded
-    /// ([`EstimateSource::ModelDegraded`], counted in
-    /// [`ServeStats::degraded`]) — the serving front-end shrinks the budget
-    /// under load to keep draining its queue. The estimator-level RNG
-    /// stream still advances one `u64` per query regardless of the budget,
-    /// so degraded and undegraded call sequences stay stream-compatible.
+    /// sample budget override: a batch of one through
+    /// [`Uae::try_estimate_cards_with`].
     pub fn try_estimate_card_with(
         &self,
         query: &Query,
         samples_override: Option<usize>,
     ) -> Result<Estimate, EstimateError> {
-        let checked = self.validate(query);
-        let mut est = self.est.lock();
-        self.ensure_snapshot(&mut est);
-        let EstCache { raw, rng, scratch, serve, .. } = &mut *est;
-        let raw = raw.as_ref().expect("snapshot just created");
-        let qseed = rng.next_u64();
-        let idx = serve.stats.served;
-        serve.stats.served += 1;
-        match checked {
-            Err(e) => {
-                serve.stats.rejected += 1;
-                serve.emit(ServeEvent::QueryRejected { index: idx, error: e.to_string() });
-                Err(e)
-            }
-            Ok((_, Validation::Empty)) => {
-                serve.stats.validated_empty += 1;
-                serve.emit(ServeEvent::ValidationShortcut { index: idx, empty: true });
-                Ok(self.finish(idx, 0.0, EstimateSource::Validation, false, serve))
-            }
-            Ok((_, Validation::Trivial)) => {
-                serve.stats.validated_trivial += 1;
-                serve.emit(ServeEvent::ValidationShortcut { index: idx, empty: false });
-                Ok(self.finish(idx, 1.0, EstimateSource::Validation, false, serve))
-            }
-            Ok((remapped, Validation::Sample)) => {
-                let vq = VirtualQuery::build(&self.table, &self.schema, &remapped);
-                let samples = samples_override.unwrap_or(self.cfg.estimate_samples).max(1);
-                let degraded = samples < self.cfg.estimate_samples;
-                let sc = &self.cfg.serve;
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    if sc.fault.panics(idx) {
-                        panic!("uae-serve: fault-plan panic (query {idx})");
-                    }
-                    let mut qrng = StdRng::seed_from_u64(qseed);
-                    progressive_sample_with(raw, &self.schema, &vq, samples, &mut qrng, scratch)
-                }));
-                let first = match attempt {
-                    Ok(v) => Some(v),
-                    Err(_) => {
-                        serve.stats.panics_isolated += 1;
-                        serve.emit(ServeEvent::PanicIsolated { index: Some(idx) });
-                        None
-                    }
-                };
-                Ok(self.resolve_sampled(
-                    idx, qseed, &vq, &remapped, first, samples, degraded, raw, scratch, serve,
-                ))
-            }
-        }
+        self.try_estimate_cards_with(slice::from_ref(query), samples_override)
+            .pop()
+            .expect("one result per query")
     }
 
-    /// Batched counterpart of [`Uae::try_estimate_card`], sharing the
-    /// cross-query batched sampler for healthy queries.
+    /// Estimate a batch of queries through the hardened serving cascade:
+    /// validation (typed rejection, exact empty/trivial shortcuts), one
+    /// batched sampler attempt over the remaining queries, per-query panic
+    /// isolation, a retry on a derived seed for unhealthy answers, the
+    /// histogram baseline, and a final clamp to `[0, N]`.
     ///
     /// A panic anywhere in the batch attempt is isolated by re-running
     /// every sampled query as its own single-query batch on its original
@@ -692,12 +584,14 @@ impl Uae {
     }
 
     /// [`Uae::try_estimate_cards`] with an optional per-call progressive-
-    /// sample budget override — the batched counterpart of
-    /// [`Uae::try_estimate_card_with`], and the entry point the concurrent
-    /// serving front-end drives: each micro-batch picks its budget from
-    /// the degradation ladder at flush time and the whole batch runs under
-    /// it. Seed-stream parity with the undegraded paths is preserved (one
-    /// `u64` per query, budget-independent).
+    /// sample budget override — the entry point the concurrent serving
+    /// front-end drives: each micro-batch picks its budget from the
+    /// degradation ladder at flush time and the whole batch runs under it.
+    /// A budget **below** the configured `estimate_samples` marks sampled
+    /// estimates as SLO-degraded ([`EstimateSource::ModelDegraded`],
+    /// counted in [`ServeStats::degraded`]); a retry boosts the shrunken
+    /// budget. Seed-stream parity with the undegraded paths is preserved
+    /// (one `u64` per query, budget-independent).
     pub fn try_estimate_cards_with(
         &self,
         queries: &[Query],
@@ -706,107 +600,66 @@ impl Uae {
         let checked: Vec<Result<(Query, Validation), EstimateError>> =
             queries.iter().map(|q| self.validate(q)).collect();
         let mut est = self.est.lock();
-        self.ensure_snapshot(&mut est);
-        let EstCache { raw, rng, scratch, batch, serve } = &mut *est;
-        let raw = raw.as_ref().expect("snapshot just created");
-        // One seed per query, shortcut or not — stream parity with the
-        // sequential path.
-        let seeds: Vec<u64> = queries.iter().map(|_| rng.next_u64()).collect();
-        let base = serve.stats.served;
-        serve.stats.served += queries.len() as u64;
-        // The batched sampler only sees queries that actually need
-        // sampling.
-        let sampled: Vec<usize> = checked
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| matches!(c, Ok((_, Validation::Sample))).then_some(i))
-            .collect();
-        let vqs: Vec<VirtualQuery> = sampled
-            .iter()
-            .map(|&i| {
-                let Ok((remapped, _)) = &checked[i] else { unreachable!() };
-                VirtualQuery::build(&self.table, &self.schema, remapped)
-            })
-            .collect();
-        let sub_seeds: Vec<u64> = sampled.iter().map(|&i| seeds[i]).collect();
+        let est = &mut *est;
+        let (seeds, base) = self.open_call(est, queries.len());
+        // The sampler only sees queries that actually need sampling.
+        let (mut vqs, mut sub_seeds, mut ids) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, c) in checked.iter().enumerate() {
+            if let Ok((remapped, Validation::Sample)) = c {
+                vqs.push(VirtualQuery::build(&self.table, &self.schema, remapped));
+                sub_seeds.push(seeds[i]);
+                ids.push(base + i as u64);
+            }
+        }
         let samples = samples_override.unwrap_or(self.cfg.estimate_samples).max(1);
         let degraded = samples < self.cfg.estimate_samples;
-        let sc = &self.cfg.serve;
-        let poisoned = sampled.iter().any(|&i| sc.fault.panics(base + i as u64));
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            if poisoned {
-                panic!("uae-serve: fault-plan batch panic");
-            }
-            progressive_sample_batch_with(raw, &self.schema, &vqs, samples, &sub_seeds, batch)
-        }));
-        let firsts: Vec<Option<f64>> = match attempt {
-            Ok(sels) => sels.into_iter().map(Some).collect(),
-            Err(_) => {
-                serve.stats.panics_isolated += 1;
-                serve.emit(ServeEvent::PanicIsolated { index: None });
-                sampled
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &i)| {
-                        let idx = base + i as u64;
-                        let one = catch_unwind(AssertUnwindSafe(|| {
-                            if sc.fault.panics(idx) {
-                                panic!("uae-serve: fault-plan panic (query {idx})");
-                            }
-                            progressive_sample_batch_with(
-                                raw,
-                                &self.schema,
-                                std::slice::from_ref(&vqs[k]),
-                                samples,
-                                std::slice::from_ref(&seeds[i]),
-                                batch,
-                            )
-                        }));
-                        match one {
-                            Ok(v) => v.into_iter().next(),
-                            Err(_) => {
-                                serve.stats.panics_isolated += 1;
-                                serve.emit(ServeEvent::PanicIsolated { index: Some(idx) });
-                                None
-                            }
-                        }
-                    })
-                    .collect()
-            }
-        };
-        let mut firsts = firsts.into_iter();
-        let mut k = 0usize;
+        let firsts = self.attempt(est, &vqs, &sub_seeds, &ids, samples);
+        let mut sampled = vqs.iter().zip(firsts);
         checked
             .into_iter()
             .enumerate()
             .map(|(i, c)| {
                 let idx = base + i as u64;
-                match c {
+                let serve = &mut est.serve;
+                let remapped = match c {
                     Err(e) => {
                         serve.stats.rejected += 1;
                         serve.emit(ServeEvent::QueryRejected { index: idx, error: e.to_string() });
-                        Err(e)
+                        return Err(e);
                     }
                     Ok((_, Validation::Empty)) => {
                         serve.stats.validated_empty += 1;
                         serve.emit(ServeEvent::ValidationShortcut { index: idx, empty: true });
-                        Ok(self.finish(idx, 0.0, EstimateSource::Validation, false, serve))
+                        return Ok(self.finish(idx, 0.0, EstimateSource::Validation, false, serve));
                     }
                     Ok((_, Validation::Trivial)) => {
                         serve.stats.validated_trivial += 1;
                         serve.emit(ServeEvent::ValidationShortcut { index: idx, empty: false });
-                        Ok(self.finish(idx, 1.0, EstimateSource::Validation, false, serve))
+                        return Ok(self.finish(idx, 1.0, EstimateSource::Validation, false, serve));
                     }
-                    Ok((remapped, Validation::Sample)) => {
-                        let first = firsts.next().expect("one attempt per sampled query");
-                        let vq = &vqs[k];
-                        k += 1;
-                        Ok(self.resolve_sampled(
-                            idx, seeds[i], vq, &remapped, first, samples, degraded, raw, scratch,
-                            serve,
-                        ))
-                    }
+                    Ok((remapped, Validation::Sample)) => remapped,
+                };
+                if degraded {
+                    serve.stats.degraded += 1;
+                    let configured = self.cfg.estimate_samples;
+                    serve.emit(ServeEvent::Degraded { index: idx, samples, configured });
                 }
+                let (vq, first) = sampled.next().expect("one attempt per sampled query");
+                let (sel, retried) =
+                    self.model_tier(est, vq, seeds[i], idx, first, samples, healthy);
+                let (sel, source) = match sel {
+                    Some(sel) if degraded => (sel, EstimateSource::ModelDegraded),
+                    Some(sel) => (sel, EstimateSource::Model),
+                    None => {
+                        let buckets = self.cfg.serve.fallback_buckets;
+                        let hist = est
+                            .serve
+                            .fallback
+                            .get_or_insert_with(|| HistogramEstimator::new(&self.table, buckets));
+                        (hist.estimate_selectivity(&remapped), EstimateSource::Baseline)
+                    }
+                };
+                Ok(self.finish(idx, sel, source, retried, &mut est.serve))
             })
             .collect()
     }
@@ -1344,7 +1197,6 @@ impl Clone for Uae {
             est: Mutex::new(EstCache {
                 raw: None,
                 rng: StdRng::seed_from_u64(self.cfg.train.seed ^ 0xc10e),
-                scratch: InferScratch::new(),
                 batch: BatchScratch::new(),
                 // Serving counters, baseline and observer are per-run
                 // concerns too; the clone starts a fresh serving history

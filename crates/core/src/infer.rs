@@ -7,207 +7,29 @@
 //! distribution to condition the next steps. Unconstrained columns feed the
 //! wildcard token and are skipped entirely (wildcard skipping, §4.6).
 //! Estimates are unbiased; `S` samples are processed as one batch.
+//!
+//! Every served estimate runs through the batched engine,
+//! [`crate::infer_batch::progressive_sample_batch_with`].
+//! [`progressive_sample`] here is the plain scalar walk of the same
+//! algorithm: one fresh `S`-row forward per constrained column, no
+//! memoization, no prefix sharing. It is kept as the reference oracle the
+//! equivalence suites, the property tests and the sampling ablations
+//! compare against; the batched engine matches it bit for bit under the
+//! same seed.
 
 use rand::RngExt;
 use uae_tensor::tensor::softmax_in_place;
 use uae_tensor::Tensor;
 
 use crate::encoding::VirtualSchema;
-use crate::model::{ModelScratch, RawModel};
+use crate::model::RawModel;
 use crate::vquery::{StepRegion, VirtualQuery};
 
 pub use crate::infer_batch::progressive_sample_batch;
 
-/// Caller-owned buffers for [`progressive_sample_with`]: the sample-batch
-/// input rows, per-sample bookkeeping, per-column sampled codes, and the
-/// model forward scratch. One scratch serves any stream of queries —
-/// buffers grow to the largest `(s, schema)` seen and are reused, making
-/// steady-state estimates allocation-free in the tensor layer.
-#[derive(Debug, Default)]
-pub struct InferScratch {
-    model: ModelScratch,
-    inputs: Tensor,
-    p_hat: Vec<f64>,
-    alive: Vec<bool>,
-    /// Sampled hard codes per virtual column (`sampled[v][r]`); `set[v]`
-    /// marks the columns written during the current query.
-    sampled: Vec<Vec<u32>>,
-    sampled_set: Vec<bool>,
-}
-
-impl InferScratch {
-    /// Fresh, empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Numeric mode of the model forward pass driven through this scratch.
-    /// Must match the mode the [`RawModel`] snapshot was built with.
-    pub fn set_quant_mode(&mut self, mode: uae_tensor::QuantMode) {
-        self.model.set_quant_mode(mode);
-    }
-}
-
-/// [`progressive_sample`] writing into caller-owned buffers. Bit-exact with
-/// the allocating path (identical RNG consumption, identical arithmetic),
-/// with two additional fast paths that preserve exactness:
-///
-/// * the first constrained column reads the memoized
-///   [`RawModel::first_step_probs`] row (every sample row sees the same
-///   all-wildcard input there, and the per-row forward arithmetic is
-///   row-independent), and
-/// * once every sample is dead the remaining rounds are skipped (they
-///   would touch neither `p_hat` nor the RNG).
-pub fn progressive_sample_with(
-    raw: &RawModel,
-    schema: &VirtualSchema,
-    vq: &VirtualQuery,
-    s: usize,
-    rng: &mut impl RngExt,
-    scratch: &mut InferScratch,
-) -> f64 {
-    if vq.is_empty() {
-        return 0.0;
-    }
-    let Some(last) = vq.last_constrained() else {
-        return 1.0; // no predicates
-    };
-    let s = s.max(1);
-    let nv = schema.num_virtual();
-    let InferScratch { model, inputs, p_hat, alive, sampled, sampled_set } = scratch;
-    inputs.resize(s, schema.input_width());
-    inputs.fill_zero();
-    p_hat.clear();
-    p_hat.resize(s, 1.0);
-    alive.clear();
-    alive.resize(s, true);
-    if sampled.len() < nv {
-        sampled.resize_with(nv, Vec::new);
-    }
-    sampled_set.clear();
-    sampled_set.resize(nv, false);
-    let mut n_alive = s;
-    // Until the first constrained column samples, every input row is the
-    // all-wildcard zero row and the probs are the memoized first-step row.
-    let mut virgin = true;
-
-    for v in 0..=last {
-        let step = vq.step(v);
-        if !step.is_constrained() {
-            continue; // wildcard: leave the zero block, skip the forward
-        }
-        if n_alive == 0 {
-            // Dead rows are skipped before any probability or RNG use, so
-            // the remaining rounds cannot change the (all-zero) estimate.
-            break;
-        }
-        let codec = schema.codec(v);
-        let domain = codec.domain() as u32;
-        let first = if virgin {
-            Some(raw.first_step_probs(v))
-        } else {
-            raw.hidden_into(inputs, model);
-            raw.logits_col_into(v, model);
-            model.logits.softmax_rows_in_place();
-            None
-        };
-        let row_probs = |r: usize| -> &[f32] {
-            match &first {
-                Some(f) => f,
-                None => model.logits.row(r),
-            }
-        };
-        let need_sample = v < last;
-        let (prev_sampled, cur) = sampled.split_at_mut(v);
-        let codes = &mut cur[0];
-        codes.clear();
-        codes.resize(s, 0);
-        if let StepRegion::Weighted(w) = step {
-            // Fanout scaling: multiply by E[w(v) | z_<v] and
-            // importance-sample from the reweighted conditional.
-            for r in 0..s {
-                if !alive[r] {
-                    continue;
-                }
-                let row = row_probs(r);
-                let p_w: f64 = row.iter().zip(w.iter()).map(|(&p, &wv)| p as f64 * wv).sum();
-                if p_w <= 0.0 {
-                    p_hat[r] = 0.0;
-                    alive[r] = false;
-                    n_alive -= 1;
-                    continue;
-                }
-                p_hat[r] *= p_w;
-                if need_sample {
-                    let target: f64 = rng.random::<f64>() * p_w;
-                    let mut acc = 0.0f64;
-                    let mut code = domain - 1;
-                    for (c, (&p, &wv)) in row.iter().zip(w.iter()).enumerate() {
-                        acc += p as f64 * wv;
-                        if acc >= target {
-                            code = c as u32;
-                            break;
-                        }
-                    }
-                    codes[r] = code;
-                    let (bs, be) = schema.input_slice(v);
-                    raw.encode_into(v, code, &mut inputs.row_mut(r)[bs..be]);
-                }
-            }
-            if need_sample {
-                sampled_set[v] = true;
-            }
-            virgin = false;
-            continue;
-        }
-        // Fixed regions are shared by every row; borrow them once instead
-        // of cloning per row (split lo-regions depend on the sampled hi
-        // code and stay per-row).
-        let fixed_region = match step {
-            StepRegion::Fixed(region) => Some(region),
-            _ => None,
-        };
-        for r in 0..s {
-            if !alive[r] {
-                continue;
-            }
-            let lo_region;
-            let region = match (fixed_region, step) {
-                (Some(region), _) => region,
-                (None, StepRegion::LoOfSplit { hi_vcol, .. }) => {
-                    debug_assert!(sampled_set[*hi_vcol], "hi sampled before lo");
-                    let hi_code = prev_sampled[*hi_vcol][r];
-                    lo_region = vq.lo_region(v, hi_code, domain);
-                    &lo_region
-                }
-                _ => unreachable!(),
-            };
-            let row = row_probs(r);
-            let p_in: f64 = region.iter_codes().map(|c| row[c as usize] as f64).sum();
-            if p_in <= 0.0 || region.is_empty() {
-                p_hat[r] = 0.0;
-                alive[r] = false;
-                n_alive -= 1;
-                continue;
-            }
-            p_hat[r] *= p_in.min(1.0);
-            if need_sample {
-                let code = sample_in_region(row, region, p_in, rng);
-                codes[r] = code;
-                let (bs, be) = schema.input_slice(v);
-                raw.encode_into(v, code, &mut inputs.row_mut(r)[bs..be]);
-            }
-        }
-        if need_sample {
-            sampled_set[v] = true;
-        }
-        virgin = false;
-    }
-    p_hat.iter().sum::<f64>() / s as f64
-}
-
 /// Estimate the selectivity of one translated query with `s` progressive
-/// samples. Returns a value in `[0, 1]`.
+/// samples. Returns a value in `[0, 1]`. The reference oracle; serving
+/// uses [`crate::infer_batch::progressive_sample_batch_with`].
 pub fn progressive_sample(
     raw: &RawModel,
     schema: &VirtualSchema,
@@ -311,8 +133,8 @@ pub fn progressive_sample(
 }
 
 /// Inverse-CDF draw from `probs` restricted to `region` (total in-region
-/// mass `p_in`). Shared with the batched engine so both paths consume the
-/// RNG identically.
+/// mass `p_in`). Shared with the batched engine so the oracle and the
+/// engine consume the RNG identically.
 pub(crate) fn sample_in_region(
     probs: &[f32],
     region: &uae_query::Region,

@@ -1,5 +1,7 @@
-//! Cross-query batched progressive sampling — the serving fast path.
+//! Cross-query batched progressive sampling — the one §4.2 engine every
+//! estimate runs through. A single estimate is a batch of one.
 //!
+//! The reference oracle
 //! [`progressive_sample`](crate::infer::progressive_sample) walks one query
 //! at a time: every constrained column costs a full `S`-row forward pass,
 //! even though (a) the first constrained column's input is the all-wildcard
@@ -8,8 +10,8 @@
 //! and therefore the same model input.
 //!
 //! [`progressive_sample_batch`] removes both redundancies while producing
-//! **bit-identical estimates** to the sequential walk under matched
-//! per-query RNG seeds:
+//! **bit-identical estimates** to the oracle under matched per-query RNG
+//! seeds:
 //!
 //! * **Column rounds.** All queries advance in lock-step over virtual
 //!   columns. At round `v`, every not-yet-finished query whose step `v` is
@@ -42,7 +44,7 @@
 //!   `k ≤ 1` (a pool of width 1, or fewer than `2 × MIN_SHARD_QUERIES`
 //!   queries) the batch is one walk, as before sharding existed.
 //!
-//! Equivalence with the sequential walk holds because each query draws from
+//! Equivalence with the oracle holds because each query draws from
 //! its own seeded RNG, and within a query the draw order is identical:
 //! ascending constrained column, then ascending row index over live rows.
 //! The same argument makes every shard count give the same bits: a query's
@@ -52,7 +54,10 @@
 //! All tensor traffic — the stacked forward, the per-round probability
 //! matrix, and every query's prefix table — lives in a caller-owned
 //! [`BatchScratch`] (one walk scratch per shard), so a warmed scratch
-//! serves batches with zero tensor allocations.
+//! serves batches with zero tensor allocations. A query never has more
+//! distinct live prefixes than samples, so each walk reserves `s` rows
+//! for every prefix table, the spare it swaps with, and the stacked input:
+//! a warm batch of one allocates nothing whatever its seeds.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -248,6 +253,11 @@ fn walk(
     if prefix_pool.len() < n {
         prefix_pool.resize_with(n, Tensor::default);
     }
+    // `s` rows bound every prefix table, the spare and a batch of one's
+    // stacked input, so reserving them stops high-water creep (module docs).
+    let bound = s * width;
+    spare.reserve(bound);
+    stacked.reserve(bound);
     let mut results = vec![0.0f64; n];
     let mut states: Vec<Option<QueryState<'_>>> = Vec::with_capacity(n);
     let mut max_last = 0usize;
@@ -265,6 +275,7 @@ fn walk(
         let mut prefix_rows = std::mem::take(&mut prefix_pool[i]);
         prefix_rows.resize(1, width);
         prefix_rows.fill_zero();
+        prefix_rows.reserve(bound);
         states.push(Some(QueryState {
             vq,
             rng: StdRng::seed_from_u64(seed),

@@ -8,7 +8,9 @@
 //!   column factorization for large NDVs (§4.2, §4.6);
 //! * [`model`] — ResMADE, the masked autoregressive MLP (§4.2);
 //! * [`vquery`] — query regions translated to virtual columns;
-//! * [`infer`] — progressive sampling for range queries (§4.2);
+//! * [`infer_batch`] — progressive sampling for range queries (§4.2), the
+//!   one engine every estimate runs through; [`infer`] holds its scalar
+//!   reference oracle;
 //! * [`dps`] — **differentiable progressive sampling** via the
 //!   Gumbel-Softmax trick (§4.3, Algorithms 1–2) — the paper's core
 //!   contribution, enabling query-supervised training of an
@@ -57,7 +59,6 @@ pub mod vquery;
 pub use dps::DpsConfig;
 pub use encoding::VirtualSchema;
 pub use estimator::{Uae, UaeConfig};
-pub use infer::InferScratch;
 pub use infer_batch::BatchScratch;
 pub use model::{ModelScratch, ResMade, ResMadeConfig};
 pub use online::{

@@ -10,9 +10,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uae_core::infer::{
-    progressive_sample, progressive_sample_batch, progressive_sample_with, InferScratch,
-};
+use uae_core::infer::{progressive_sample, progressive_sample_batch};
 use uae_core::infer_batch::{progressive_sample_batch_sharded, BatchScratch};
 use uae_core::model::RawModel;
 use uae_core::serialize::load_params;
@@ -205,10 +203,11 @@ fn seeds_for(n: usize, base: u64) -> Vec<u64> {
     (0..n as u64).map(|i| base ^ (0x9e37_79b9 * (i + 1))).collect()
 }
 
-/// The sequential oracle (one `progressive_sample_with` per query) against
-/// the batched sampler at every shard count, bit for bit. One scratch
-/// serves every call and the sweep runs twice, so warm shard scratches are
-/// reused across shard counts.
+/// The sequential oracle (one `progressive_sample` per query) against
+/// the batched sampler at every shard count, bit for bit. The scalar
+/// oracle only runs f32 forwards, so under int8 each query runs alone, as
+/// an unsharded batch of one. One scratch serves every call and the sweep
+/// runs twice, so warm shard scratches are reused across shard counts.
 fn assert_shard_invariant(
     raw: &RawModel,
     schema: &VirtualSchema,
@@ -217,14 +216,19 @@ fn assert_shard_invariant(
     seeds: &[u64],
     mode: QuantMode,
 ) -> Vec<f64> {
-    let mut seq_scratch = InferScratch::new();
-    seq_scratch.set_quant_mode(mode);
+    let mut alone = BatchScratch::new();
+    alone.set_quant_mode(mode);
     let sequential: Vec<f64> = vqs
         .iter()
         .zip(seeds)
-        .map(|(vq, &seed)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            progressive_sample_with(raw, schema, vq, s, &mut rng, &mut seq_scratch)
+        .map(|(vq, &seed)| match mode {
+            QuantMode::F32 => {
+                progressive_sample(raw, schema, vq, s, &mut StdRng::seed_from_u64(seed))
+            }
+            QuantMode::Int8 => {
+                let one = std::slice::from_ref(vq);
+                progressive_sample_batch_sharded(raw, schema, one, s, &[seed], 1, &mut alone)[0]
+            }
         })
         .collect();
     let mut scratch = BatchScratch::new();

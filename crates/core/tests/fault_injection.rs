@@ -191,6 +191,19 @@ fn assert_panic_isolated(queries: &[Query], target: usize) {
     assert!(doubled.iter().enumerate().all(|(i, &v)| v == i * 2));
 }
 
+/// A query translated against a four-column schema: walking it on the
+/// two-column model indexes past the model's columns and panics.
+fn wider_schema_vquery() -> VirtualQuery {
+    let wider = Table::from_columns(
+        "wider",
+        (0..4)
+            .map(|c| (format!("c{c}"), (0..50i64).map(|i| Value::Int(i % 5)).collect()))
+            .collect(),
+    );
+    let wider_schema = VirtualSchema::build(&wider, usize::MAX);
+    VirtualQuery::build(&wider, &wider_schema, &Query::new(vec![Predicate::eq(3, 1i64)]))
+}
+
 /// A panic raised *inside* one shard's walk — here a query translated
 /// against a wider schema than the model's — re-raises on the caller after
 /// the other shards finish, and leaves the shard scratches and the kernel
@@ -215,16 +228,8 @@ fn shard_panic_reraises_on_the_caller() {
         &mut BatchScratch::new(),
     );
 
-    let wider = Table::from_columns(
-        "wider",
-        (0..4)
-            .map(|c| (format!("c{c}"), (0..50i64).map(|i| Value::Int(i % 5)).collect()))
-            .collect(),
-    );
-    let wider_schema = VirtualSchema::build(&wider, usize::MAX);
-    let bad = VirtualQuery::build(&wider, &wider_schema, &Query::new(vec![Predicate::eq(3, 1i64)]));
     let mut poisoned = healthy.clone();
-    poisoned[10] = bad;
+    poisoned[10] = wider_schema_vquery();
 
     let mut scratch = BatchScratch::new();
     for k in [2, 3, 5] {
@@ -243,14 +248,17 @@ fn shard_panic_reraises_on_the_caller() {
     assert!(doubled.iter().enumerate().all(|(i, &v)| v == i * 2));
 }
 
-/// The same panic fault on the sequential path: isolated, retried (the
-/// retry panics too), then the baseline answers.
+/// The same panic fault on a single query: isolated, retried (the retry
+/// panics too), then the baseline answers. A batch of one is its own
+/// isolation, so no batch-level rerun is recorded.
 #[test]
 fn panicking_query_is_isolated_sequentially() {
     let n = table().num_rows() as f64;
     let base = quick_uae(14);
     let mut faulted = base.clone();
     faulted.serve_config_mut().fault.panic_queries = vec![0];
+    let (obs, log) = ServeMemoryObserver::new();
+    faulted.set_serve_observer(Box::new(obs));
 
     let est = faulted.try_estimate_card(&workload()[0]).expect("degraded, not dead");
     assert_eq!(est.source, EstimateSource::Baseline);
@@ -259,6 +267,42 @@ fn panicking_query_is_isolated_sequentially() {
     assert_eq!(stats.panics_isolated, 2); // first attempt + retry
     assert_eq!(stats.retries, 1);
     assert_eq!(stats.fallbacks, 1);
+    let events = log.lock().expect("event log");
+    let isolated =
+        events.iter().filter(|e| matches!(e, ServeEvent::PanicIsolated { index: Some(0) })).count();
+    assert_eq!(isolated, 2, "first attempt and retry each isolate query 0");
+    assert!(!events.iter().any(|e| matches!(e, ServeEvent::PanicIsolated { index: None })));
+}
+
+/// A join-style vquery batch with one query that panics inside the walk
+/// (translated against a wider schema than the model's): the call
+/// returns, the healthy queries answer exactly as in a clean batch, and
+/// the poisoned one — its retry panicking too — degrades to `0`.
+#[test]
+fn vquery_batch_panic_is_isolated() {
+    let base = quick_uae(19);
+    let clean = base.clone();
+    let faulted = base.clone();
+    let vqs: Vec<VirtualQuery> = workload().iter().map(|q| base.translate(q)).collect();
+    let mut poisoned = vqs.clone();
+    poisoned[2] = wider_schema_vquery();
+
+    let want = clean.estimate_vquery_batch(&vqs);
+    let got = faulted.estimate_vquery_batch(&poisoned);
+
+    assert_eq!(got.len(), vqs.len());
+    assert_eq!(got[2], 0.0, "the poisoned query degrades to 0");
+    for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+        if i != 2 {
+            assert_eq!(w.to_bits(), g.to_bits(), "query {i} must survive the panic bit-exactly");
+        }
+    }
+    let stats = faulted.serve_stats();
+    assert_eq!(stats.retries, 1);
+    assert_eq!(stats.fallbacks, 1);
+    assert_eq!(stats.panics_isolated, 3); // batch attempt, the query alone, its retry
+                                          // A single poisoned vquery is isolated too.
+    assert_eq!(faulted.estimate_vquery(&poisoned[2]), 0.0);
 }
 
 /// Checkpoint-corruption fault: the saved blob fails to load with a typed

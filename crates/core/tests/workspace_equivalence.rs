@@ -1,13 +1,13 @@
-//! The plan/workspace refactor must be a pure optimization: the scratch
-//! samplers (`progressive_sample_with`, `progressive_sample_batch_with`)
-//! reuse buffers across queries and calls, yet return f64-bit-identical
-//! estimates to the allocating oracles — across wildcards, factorized
-//! (split) columns, weighted (fanout) steps, and shape-changing query
-//! streams that force every buffer to grow and shrink.
+//! The plan/workspace refactor must be a pure optimization: the batched
+//! sampler (`progressive_sample_batch_with`) reuses its scratch across
+//! queries and calls, yet returns f64-bit-identical estimates to the
+//! allocating oracles — across wildcards, factorized (split) columns,
+//! weighted (fanout) steps, and shape-changing query streams that force
+//! every buffer to grow and shrink.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uae_core::infer::{progressive_sample, progressive_sample_with, InferScratch};
+use uae_core::infer::progressive_sample;
 use uae_core::infer_batch::{
     progressive_sample_batch, progressive_sample_batch_with, BatchScratch,
 };
@@ -58,34 +58,6 @@ fn mixed_stream(t: &Table, schema: &VirtualSchema) -> Vec<VirtualQuery> {
     );
     vqs.push(wq);
     vqs
-}
-
-/// One `InferScratch` carried across an entire mixed query stream returns
-/// exactly what a fresh allocating sampler returns per query.
-#[test]
-fn scratch_sampler_matches_oracle_across_reuse() {
-    for threshold in [usize::MAX, 16] {
-        let (t, schema, store, model) = setup(threshold);
-        let raw = model.snapshot(&store);
-        let vqs = mixed_stream(&t, &schema);
-        let mut scratch = InferScratch::new();
-        // Varying sample counts force the input/probability buffers to
-        // grow and shrink between queries.
-        for (i, vq) in vqs.iter().enumerate() {
-            for s in [64, 200, 17] {
-                let seed = 0xace ^ ((i as u64) << 8) ^ s as u64;
-                let mut r1 = StdRng::seed_from_u64(seed);
-                let mut r2 = StdRng::seed_from_u64(seed);
-                let oracle = progressive_sample(&raw, &schema, vq, s, &mut r1);
-                let got = progressive_sample_with(&raw, &schema, vq, s, &mut r2, &mut scratch);
-                assert_eq!(
-                    oracle.to_bits(),
-                    got.to_bits(),
-                    "query {i}, s={s}, threshold={threshold}: oracle {oracle} vs scratch {got}"
-                );
-            }
-        }
-    }
 }
 
 /// One `BatchScratch` carried across repeated batch calls — with the query

@@ -4,12 +4,17 @@
 //! stays flat), and the per-query global allocation count — everything,
 //! including `Vec<u32>` code buffers and hash-map churn — is reported.
 //!
-//! The batched sampler's prefix/stacked buffers are sized by the *deduped*
-//! prefix count, which varies with the RNG seeds: under an advancing seed
-//! stream the high-water mark can still creep by a few rows per call, so
-//! the exact-zero assertions run on deterministic workloads (fixed shapes
-//! for the sequential path, fixed seeds for the batched path) and the
-//! advancing-seed path gets a tight growth bound instead.
+//! Every estimate runs through the batched sampler; a single query is a
+//! batch of one. Its buffers are sized by the *deduped* prefix count,
+//! which varies with the RNG seeds. Each walk reserves `s` rows for every
+//! query's prefix table and the spare it swaps with (a query never has
+//! more distinct live prefixes than samples), and for the stacked forward
+//! input, which a batch of one never outgrows. So the warm single-query
+//! path stays at exactly zero under an advancing seed stream. A larger
+//! batch stacks several queries' prefixes, and that high-water mark can
+//! still creep by a few rows per call, so the exact-zero batched
+//! assertions run on fixed seeds and the advancing-seed batch path gets a
+//! tight growth bound instead.
 //!
 //! Single `#[test]` on purpose: both counters are process-global, so a
 //! concurrently running test that touches tensors would break the deltas.
@@ -67,8 +72,9 @@ fn steady_state_estimates_allocate_no_tensors() {
     let rounds = 3u64;
 
     // --- sequential path: exact zero -----------------------------------
-    // `InferScratch` shapes depend only on `estimate_samples` and the
-    // schema, so after one warm call nothing in the tensor layer moves.
+    // One query per call, a batch of one: its reserved prefix, spare and
+    // stacked buffers already hold `estimate_samples` rows, so after one
+    // warm pass nothing in the tensor layer moves.
     for q in &queries {
         uae.estimate_selectivity(q);
     }

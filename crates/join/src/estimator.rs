@@ -138,9 +138,13 @@ impl JoinUae {
         vq
     }
 
-    /// Estimated join cardinality. Steady-state calls reuse the underlying
-    /// estimator's inference scratch (input rows, hidden/logit buffers), so
-    /// repeated estimates allocate nothing in the tensor layer.
+    /// Estimated join cardinality: a batch of one through the batched
+    /// sampler ([`uae_core::Uae::estimate_vquery`]), bit-identical to the
+    /// same query's slot in [`JoinUae::estimate_batch`] under the same RNG
+    /// state. Steady-state calls reuse the
+    /// underlying estimator's batched-sampler scratch, whose per-query
+    /// buffers are reserved at the full sample budget, so repeated
+    /// estimates allocate nothing in the tensor layer.
     pub fn estimate(&self, q: &JoinQuery) -> f64 {
         let vq = self.translate(q);
         self.uae.estimate_vquery(&vq) * self.sample.outer_size as f64

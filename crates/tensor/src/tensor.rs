@@ -118,6 +118,17 @@ impl Tensor {
         self.cols = cols;
     }
 
+    /// Ensure the buffer can hold `elems` elements without reallocating.
+    /// Capacity only: shape and contents are untouched and no element is
+    /// written, so reserved memory costs nothing until a later
+    /// [`Tensor::resize`] grows into it.
+    pub fn reserve(&mut self, elems: usize) {
+        if elems > self.data.capacity() {
+            note_alloc(elems);
+            self.data.reserve_exact(elems - self.data.len());
+        }
+    }
+
     /// Become a shape-matched copy of `src`, reusing the existing buffer
     /// when capacity allows.
     pub fn copy_from(&mut self, src: &Tensor) {
@@ -877,6 +888,19 @@ mod tests {
         assert_eq!(thread_alloc_count(), before, "capacity reuse must not allocate");
         t.resize(16, 16); // genuine growth
         assert_eq!(thread_alloc_count(), before + 1);
+    }
+
+    #[test]
+    fn reserve_is_capacity_only() {
+        let mut t = Tensor::zeros(2, 3);
+        let before = thread_alloc_count();
+        t.reserve(4); // within capacity: nothing happens
+        assert_eq!(thread_alloc_count(), before);
+        t.reserve(64);
+        assert_eq!(thread_alloc_count(), before + 1);
+        assert_eq!((t.rows(), t.cols()), (2, 3), "reserve keeps the shape");
+        t.resize(8, 8); // grows into the reservation
+        assert_eq!(thread_alloc_count(), before + 1, "resize within a reservation must reuse");
     }
 
     #[test]
