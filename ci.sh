@@ -18,6 +18,14 @@ echo "== scalar fallback: kernel + parity suites under UAE_FORCE_SCALAR =="
 UAE_FORCE_SCALAR=1 cargo test -q -p uae-tensor
 UAE_FORCE_SCALAR=1 cargo test -q -p uae-core --test quant_parity
 
+echo "== engine equivalence + zero-alloc under the portable and forced-scalar backends =="
+# The head-prefix forward runs on the packed layout (portable, avx2) and
+# falls back to full width on the plain one (forced scalar); both must keep
+# the batched engine bit-identical to the oracle and allocation-free.
+for backend in UAE_SIMD=portable UAE_FORCE_SCALAR=1; do
+    env "$backend" cargo test -q -p uae-core --test batch_equivalence --test zero_alloc
+done
+
 echo "== query sharding: equivalence + zero-alloc at pool widths 1 and 4 =="
 # Width 1 keeps every batch one unsharded walk; width 4 splits a batch of
 # 32+ queries into up to 8 shards, even on a 2-core machine. Every estimate

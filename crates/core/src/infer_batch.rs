@@ -17,9 +17,14 @@
 //!   columns. At round `v`, every not-yet-finished query whose step `v` is
 //!   constrained participates; queries with a wildcard at `v` skip the
 //!   round entirely (per-query wildcard skipping, §4.6). Participants share
-//!   one stacked `hidden()` forward and one `logits_col(v)` projection, so
+//!   one stacked hidden forward and one `logits_col(v)` projection, so
 //!   the `w_out` column slice and the weight traversals are paid once per
 //!   round instead of once per query.
+//! * **Head-prefix forward.** Round `v` needs only column `v`'s
+//!   conditional, and in the packed layout that head reads a degree-sorted
+//!   prefix of the hidden units. The stacked forward computes just that
+//!   prefix in every layer (`RawModel::hidden_for_col_into`), with the
+//!   same bits as the full-width forward on the units the head reads.
 //! * **First-step memoization.** A query that has not sampled anything yet
 //!   feeds the all-zero input, whose softmaxed logits are row-constant.
 //!   Those queries read [`RawModel::first_step_probs`] — computed once per
@@ -329,7 +334,7 @@ fn walk(
                 let dst = &mut stacked.data_mut()[dst_start..dst_start + st.prefix_rows.len()];
                 dst.copy_from_slice(st.prefix_rows.data());
             }
-            raw.hidden_into(stacked, model);
+            raw.hidden_for_col_into(stacked, v, model);
             raw.logits_col_into(v, model);
             model.logits.softmax_rows_in_place();
         }

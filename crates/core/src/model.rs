@@ -638,6 +638,30 @@ impl RawModel {
     /// `s`. Bit-exact with [`RawModel::hidden`] for a scratch in the same
     /// numeric mode (the allocating wrapper always runs f32).
     pub fn hidden_into(&self, x: &Tensor, s: &mut ModelScratch) {
+        self.hidden_prefix_into(x, self.hidden_width(), s)
+    }
+
+    /// The hidden units column `v`'s head reads, written into
+    /// `s.h[:, ..self.head_rows(v)]`; the progressive sampler's per-round
+    /// forward. Those units, and the logits [`RawModel::logits_col_into`]
+    /// computes from them, are bit-identical to a full
+    /// [`RawModel::hidden_into`]; units at or past the limit are left stale.
+    ///
+    /// Exactness rests on the packed layout. Hidden units are sorted by MADE
+    /// degree and the head of `v` reads exactly the units below its output
+    /// degree, a prefix. Hidden-to-hidden weights only run from degree `a`
+    /// to degree `b >= a`, so units below the limit read only units below
+    /// it; and every input row of a column `>= v` starts at or past the
+    /// limit, so the kernel skips it. The plain layout has no degree sort,
+    /// so its limit is the full width.
+    pub(crate) fn hidden_for_col_into(&self, x: &Tensor, v: usize, s: &mut ModelScratch) {
+        self.hidden_prefix_into(x, self.head_rows(v), s)
+    }
+
+    /// The one hidden forward: f32 over units `..units` (a degree-closed
+    /// prefix: the full width or a head's `head_rows`), or the full-width
+    /// int8 forward.
+    fn hidden_prefix_into(&self, x: &Tensor, units: usize, s: &mut ModelScratch) {
         if s.mode == QuantMode::Int8 && self.quant.is_some() {
             return self.hidden_into_quant(x, s);
         }
@@ -646,21 +670,42 @@ impl RawModel {
             None => (None, None),
         };
         let ModelScratch { h, t, t2, .. } = s;
-        matmul_masked_into(x, &self.w_in, si, x.cols(), h, false);
-        add_bias_relu_assign(h, &self.b_in);
-        for blk in &self.blocks {
-            matmul_masked_into(h, &blk.w1, sh, h.cols(), t, false);
-            add_bias_relu_assign(t, &blk.b1);
-            matmul_masked_into(t, &blk.w2, sh, t.cols(), t2, false);
-            add_bias_assign(t2, &blk.b2);
-            h.add_assign(t2);
+        matmul_masked_into(x, &self.w_in, si, x.cols(), units, h, false);
+        let be = simd::backend();
+        let b_in = &self.b_in.row(0)[..units];
+        for r in 0..h.rows() {
+            simd::add_bias_relu_row_with(be, &mut h.row_mut(r)[..units], b_in);
         }
-        h.map_in_place(|v| v.max(0.0));
+        for blk in &self.blocks {
+            let (b1, b2) = (&blk.b1.row(0)[..units], &blk.b2.row(0)[..units]);
+            matmul_masked_into(h, &blk.w1, sh, units, units, t, false);
+            for r in 0..t.rows() {
+                simd::add_bias_relu_row_with(be, &mut t.row_mut(r)[..units], b1);
+            }
+            matmul_masked_into(t, &blk.w2, sh, units, units, t2, false);
+            for r in 0..h.rows() {
+                let t2r = &mut t2.row_mut(r)[..units];
+                simd::add_bias_row_with(be, t2r, b2);
+                for (hv, &tv) in h.row_mut(r)[..units].iter_mut().zip(t2r.iter()) {
+                    *hv += tv;
+                }
+            }
+        }
+        for r in 0..h.rows() {
+            for hv in &mut h.row_mut(r)[..units] {
+                *hv = hv.max(0.0);
+            }
+        }
     }
 
     /// Int8 forward: weights come from the snapshot panels, activations are
     /// re-quantized per row before each matmul, accumulation is exact i32,
     /// and all epilogues (bias, ReLU, residual) stay f32.
+    ///
+    /// It always runs the full width, also for the sampler's per-column
+    /// rounds. Each row's activation scale is the max over every unit the
+    /// next layer reads, so computing only a head's prefix would quantize
+    /// the prefix against a different scale and change its answers.
     fn hidden_into_quant(&self, x: &Tensor, s: &mut ModelScratch) {
         let q = self.quant.as_ref().expect("quant panels checked by caller");
         let rows = x.rows();
@@ -728,15 +773,27 @@ impl RawModel {
                 return;
             }
         }
-        let k_limit = self.packed.as_ref().map_or(s.h.cols(), |p| p.head_rows[v]);
+        let k_limit = self.head_rows(v);
         let ModelScratch { h, logits, .. } = s;
-        matmul_masked_into(h, &self.w_out_cols[v], None, k_limit, logits, false);
+        let w = &self.w_out_cols[v];
+        matmul_masked_into(h, w, None, k_limit, w.cols(), logits, false);
         add_bias_assign(logits, &self.b_out_cols[v]);
     }
 
     /// Model input dimension.
     pub fn input_width(&self) -> usize {
         self.w_in.rows()
+    }
+
+    /// Hidden layer width.
+    pub(crate) fn hidden_width(&self) -> usize {
+        self.b_in.cols()
+    }
+
+    /// Number of leading hidden units column `v`'s logit head reads: the
+    /// packed layout's degree prefix, or the full width in the plain one.
+    pub(crate) fn head_rows(&self, v: usize) -> usize {
+        self.packed.as_ref().map_or(self.hidden_width(), |p| p.head_rows[v])
     }
 
     /// The cached all-wildcard (all-zero) input row.
@@ -934,6 +991,93 @@ mod tests {
             raw.encode_into(v, [1u32, 2, 0][v], &mut xraw.row_mut(0)[bs..be]);
         }
         assert!(raw.logits(&xraw).max_abs_diff(&y0) < 1e-5);
+    }
+
+    /// The sampler's per-round forward computes only the hidden units
+    /// column `v`'s head reads; with the head on top it must reproduce the
+    /// full forward's logits bit for bit. Every scratch buffer starts as
+    /// NaN and the units past the limit are re-poisoned before the head
+    /// runs, so any read beyond the prefix shows up as a NaN logit.
+    #[test]
+    fn head_prefix_forward_matches_full_forward() {
+        use crate::encoding::EncodingMode;
+        let cases: [(&[usize], EncodingMode, usize, usize); 6] = [
+            (&[4, 5, 3, 6], EncodingMode::Binary, 16, 1),
+            (&[4, 5, 3, 6], EncodingMode::Binary, 22, 2),
+            (&[7, 2, 9, 3, 5], EncodingMode::Binary, 13, 2),
+            (&[4, 5, 3, 6], EncodingMode::Embedding { dim: 5 }, 22, 1),
+            (&[6, 3, 8], EncodingMode::Embedding { dim: 4 }, 17, 2),
+            (&[9], EncodingMode::Binary, 8, 2),
+        ];
+        for (ci, &(domains, mode, hidden, blocks)) in cases.iter().enumerate() {
+            let rows = 16;
+            let cols = domains
+                .iter()
+                .enumerate()
+                .map(|(j, &d)| {
+                    let vals: Vec<Value> =
+                        (0..rows).map(|r| Value::Int(((r * 3 + j) % d) as i64)).collect();
+                    (format!("c{j}"), vals)
+                })
+                .collect();
+            let t = Table::from_columns("t", cols);
+            let s = VirtualSchema::build_with_mode(&t, usize::MAX, mode);
+            let n = s.num_virtual();
+            let mut store = ParamStore::new();
+            let cfg = ResMadeConfig { hidden, blocks, seed: 20 + ci as u64 };
+            let model = ResMade::new(&mut store, &s, &cfg);
+            // Non-zero biases, so every epilogue does real work.
+            let ids: Vec<ParamId> = store.ids().collect();
+            for id in ids {
+                let b = store.get_mut(id);
+                if b.rows() == 1 {
+                    for (j, x) in b.row_mut(0).iter_mut().enumerate() {
+                        *x = ((j * 7 + ci) % 11) as f32 * 0.05 - 0.25;
+                    }
+                }
+            }
+            let raw = model.snapshot(&store);
+            assert_eq!(raw.hidden_width(), hidden);
+            if simd::packed_enabled() {
+                // Every head but the last column's reads a strict prefix.
+                assert!((0..n - 1).all(|v| raw.head_rows(v) < hidden), "case {ci}: no prefix");
+            }
+
+            // Sampler-shaped inputs: column prefixes encoded, the rest
+            // wildcard zeros, plus one fully encoded row.
+            let mut x = Tensor::zeros(n + 1, s.input_width());
+            for r in 0..=n {
+                for v in 0..r.min(n) {
+                    let (bs, be) = s.input_slice(v);
+                    let code = ((r + 2 * v) % s.codec(v).domain()) as u32;
+                    raw.encode_into(v, code, &mut x.row_mut(r)[bs..be]);
+                }
+            }
+
+            let poisoned = || Tensor::from_vec(n + 1, hidden, vec![f32::NAN; (n + 1) * hidden]);
+            let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut full = ModelScratch::new();
+            raw.hidden_into(&x, &mut full);
+            for v in 0..n {
+                raw.logits_col_into(v, &mut full);
+                let limit = raw.head_rows(v);
+                assert!(limit <= hidden);
+
+                let mut pre = ModelScratch::new();
+                (pre.h, pre.t, pre.t2) = (poisoned(), poisoned(), poisoned());
+                raw.hidden_for_col_into(&x, v, &mut pre);
+                for r in 0..=n {
+                    assert_eq!(
+                        &pre.h.row(r)[..limit],
+                        &full.h.row(r)[..limit],
+                        "case {ci} col {v} row {r}: prefix units differ"
+                    );
+                    pre.h.row_mut(r)[limit..].fill(f32::NAN);
+                }
+                raw.logits_col_into(v, &mut pre);
+                assert_eq!(bits(&pre.logits), bits(&full.logits), "case {ci} col {v}: logits");
+            }
+        }
     }
 
     #[test]

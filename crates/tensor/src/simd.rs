@@ -138,13 +138,17 @@ pub fn packed_enabled() -> bool {
 // Row kernels (dispatching).
 // ---------------------------------------------------------------------------
 
-/// `out_row[j] += sum_k a_row[k] * b[k][j]` for a row-major `b` with `bcols`
-/// columns, accumulating into `out_row` (callers zero it for a plain
-/// matmul). When `starts` is given, row `k` of `b` is treated as zero below
-/// column `starts[k]` — the packed-mask contract: the model layer permutes
-/// hidden units by MADE degree so every masked weight row is zero on a
-/// contiguous prefix, and the inner loop starts past it instead of testing
-/// a zero-skip branch per element.
+/// `out[j] += sum_k a_row[k] * b[k][j]` for `j < out.len()`, over a
+/// row-major `b` with `bcols >= out.len()` columns, accumulating into `out`
+/// (callers zero it for a plain matmul). `out.len()` is the output-column
+/// limit: passing a prefix of the product row computes exactly that prefix,
+/// with the same per-element arithmetic in the same order, so the computed
+/// columns are bit-identical to the first `out.len()` of the full product.
+/// When `starts` is given, row `k` of `b` is treated as zero below column
+/// `starts[k]` — the packed-mask contract: the model layer permutes hidden
+/// units by MADE degree so every masked weight row is zero on a contiguous
+/// prefix, and the inner loop starts past it instead of testing a zero-skip
+/// branch per element. Rows whose start is at or past the limit are skipped.
 #[inline]
 pub fn matmul_row(a_row: &[f32], b: &[f32], bcols: usize, starts: Option<&[u32]>, out: &mut [f32]) {
     matmul_row_with(backend(), a_row, b, bcols, starts, out)
@@ -159,32 +163,36 @@ pub fn matmul_row_with(
     starts: Option<&[u32]>,
     out: &mut [f32],
 ) {
-    debug_assert!(a_row.len() * bcols <= b.len());
-    debug_assert_eq!(out.len(), bcols);
+    // The AVX2 kernel reads `b` and `starts` unchecked; these bounds make
+    // every read in range (a start at or past the limit is skipped).
+    assert!(a_row.len() * bcols <= b.len());
+    assert!(out.len() <= bcols);
     if let Some(st) = starts {
-        debug_assert!(st.len() >= a_row.len());
+        assert!(st.len() >= a_row.len());
     }
+    let n = out.len();
     match be {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` is only ever selected (or kept by `set_backend`)
-        // when `is_x86_feature_detected!` confirmed avx2+fma.
+        // when `is_x86_feature_detected!` confirmed avx2+fma; the slice
+        // bounds are asserted above.
         Backend::Avx2 => unsafe { avx2::matmul_row(a_row, b, bcols, starts, out) },
         Backend::Portable => {
             for (k, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
+                let s = starts.map_or(0, |st| st[k] as usize);
+                if aik == 0.0 || s >= n {
                     continue;
                 }
-                let s = starts.map_or(0, |st| st[k] as usize);
-                axpy_unrolled(aik, &b[k * bcols + s..(k + 1) * bcols], &mut out[s..]);
+                axpy_unrolled(aik, &b[k * bcols + s..k * bcols + n], &mut out[s..]);
             }
         }
         _ => {
             for (k, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
+                let s = starts.map_or(0, |st| st[k] as usize);
+                if aik == 0.0 || s >= n {
                     continue;
                 }
-                let s = starts.map_or(0, |st| st[k] as usize);
-                let b_row = &b[k * bcols + s..(k + 1) * bcols];
+                let b_row = &b[k * bcols + s..k * bcols + n];
                 for (o, &bv) in out[s..].iter_mut().zip(b_row) {
                     *o += aik * bv;
                 }
@@ -364,8 +372,8 @@ pub(crate) mod avx2 {
     ///
     /// # Safety
     /// Caller must guarantee avx2+fma are available, `b` holds at least
-    /// `a_row.len() * bcols` elements, `out.len() == bcols`, and every
-    /// `starts[k] <= bcols`.
+    /// `a_row.len() * bcols` elements, `out.len() <= bcols`, and `starts`
+    /// (when given) holds at least `a_row.len()` entries.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn matmul_row(
         a_row: &[f32],
@@ -374,12 +382,13 @@ pub(crate) mod avx2 {
         starts: Option<&[u32]>,
         out: &mut [f32],
     ) {
+        let n = out.len();
         for (k, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
+            let s = starts.map_or(0, |st| *st.get_unchecked(k) as usize);
+            if aik == 0.0 || s >= n {
                 continue;
             }
-            let s = starts.map_or(0, |st| *st.get_unchecked(k) as usize);
-            let b_row = b.get_unchecked(k * bcols + s..(k + 1) * bcols);
+            let b_row = b.get_unchecked(k * bcols + s..k * bcols + n);
             axpy(aik, b_row, out.get_unchecked_mut(s..));
         }
     }
@@ -720,6 +729,14 @@ mod tests {
             matmul_row_with(be, &a, &b, n, Some(&starts), &mut out);
             for (x, y) in dense.iter().zip(&out) {
                 assert!(rel_err(*x, *y) < 1e-5, "{be:?}: {x} vs {y}");
+            }
+            // An output limit computes exactly the first `limit` columns of
+            // the same backend's full row, bit for bit.
+            for limit in [0usize, 1, 7, 8, 9, 33, n] {
+                let mut prefix = vec![0.0f32; limit];
+                matmul_row_with(be, &a, &b, n, Some(&starts), &mut prefix);
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&prefix), bits(&out[..limit]), "{be:?} limit {limit}");
             }
         }
     }

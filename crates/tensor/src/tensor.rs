@@ -569,11 +569,12 @@ const PAR_FLOP_THRESHOLD: usize = 500_000;
 /// on top, and nothing else about `out` changes. Callers may not rely on
 /// accumulation into a stale-shaped or uninitialized buffer.
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor, accumulate: bool) {
-    matmul_masked_into(a, b, None, a.cols, out, accumulate)
+    matmul_masked_into(a, b, None, a.cols, b.cols, out, accumulate)
 }
 
-/// `out (+)= a[:, ..k_limit] @ b[..k_limit, :]`, with `b` additionally
-/// treated as zero left of `starts[k]` on row `k` when `starts` is given.
+/// `out[:, ..n_limit] (+)= a[:, ..k_limit] @ b[..k_limit, ..n_limit]`, with
+/// `b` additionally treated as zero left of `starts[k]` on row `k` when
+/// `starts` is given.
 ///
 /// This is the mask-aware product behind the packed ResMADE forward:
 /// `uae-core` permutes hidden units by MADE degree at snapshot time so each
@@ -581,17 +582,23 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor, accumulate: bool) {
 /// `starts`) and each output head touches only a contiguous row prefix of
 /// the hidden state (encoded by slicing `a`'s columns via `k_limit`). The
 /// inner loops then run dense over the live panel instead of testing a
-/// per-element zero-skip. Same `accumulate` contract as [`matmul_into`].
+/// per-element zero-skip. `n_limit` computes only the first `n_limit`
+/// output columns, bit-identical to the same columns of the full product;
+/// `out` still has `b.cols` columns, and the ones at or past `n_limit` are
+/// left as they were (zero after a fresh resize, stale otherwise). Same
+/// `accumulate` contract as [`matmul_into`] on the computed columns.
 pub fn matmul_masked_into(
     a: &Tensor,
     b: &Tensor,
     starts: Option<&[u32]>,
     k_limit: usize,
+    n_limit: usize,
     out: &mut Tensor,
     accumulate: bool,
 ) {
     assert_eq!(a.cols, b.rows);
     assert!(k_limit <= a.cols);
+    assert!(n_limit <= b.cols);
     if let Some(st) = starts {
         assert!(st.len() >= k_limit);
     }
@@ -600,9 +607,9 @@ pub fn matmul_masked_into(
         assert_eq!(out.cols, b.cols);
     } else {
         out.resize(a.rows, b.cols);
-        out.fill_zero();
     }
-    let flops = 2 * a.rows * k_limit * b.cols;
+    let flops = 2 * a.rows * k_limit * n_limit;
+    let m = MaskedProduct { a, b, starts, k_limit, n_limit, accumulate };
     if flops >= PAR_FLOP_THRESHOLD && a.rows >= 2 {
         let threads = pool::pool_threads();
         let chunk = a.rows.div_ceil(threads);
@@ -624,27 +631,38 @@ pub fn matmul_masked_into(
                     (row_end - row_start) * bcols,
                 )
             };
-            matmul_rows(a, b, starts, k_limit, row_start, orows);
+            m.rows(row_start, orows);
         });
         return;
     }
-    let orows = &mut out.data[..];
-    matmul_rows(a, b, starts, k_limit, 0, orows);
+    m.rows(0, &mut out.data[..]);
 }
 
-fn matmul_rows(
-    a: &Tensor,
-    b: &Tensor,
-    starts: Option<&[u32]>,
+/// The operands of one [`matmul_masked_into`] call, shared by its row
+/// chunks.
+struct MaskedProduct<'a> {
+    a: &'a Tensor,
+    b: &'a Tensor,
+    starts: Option<&'a [u32]>,
     k_limit: usize,
-    row_start: usize,
-    out_rows: &mut [f32],
-) {
-    let be = simd::backend();
-    let bcols = b.cols;
-    for (local_i, out_row) in out_rows.chunks_mut(bcols).enumerate() {
-        let a_row = &a.row(row_start + local_i)[..k_limit];
-        simd::matmul_row_with(be, a_row, &b.data, bcols, starts, out_row);
+    n_limit: usize,
+    accumulate: bool,
+}
+
+impl MaskedProduct<'_> {
+    /// Compute output rows `row_start..` into `out_rows` (whole rows of
+    /// `b.cols` elements, of which the first `n_limit` are written).
+    fn rows(&self, row_start: usize, out_rows: &mut [f32]) {
+        let be = simd::backend();
+        let bcols = self.b.cols;
+        for (local_i, out_row) in out_rows.chunks_mut(bcols).enumerate() {
+            let a_row = &self.a.row(row_start + local_i)[..self.k_limit];
+            let out = &mut out_row[..self.n_limit];
+            if !self.accumulate {
+                out.fill(0.0);
+            }
+            simd::matmul_row_with(be, a_row, &self.b.data, bcols, self.starts, out);
+        }
     }
 }
 

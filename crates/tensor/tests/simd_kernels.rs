@@ -72,15 +72,21 @@ proptest! {
 
     /// Column-pruned panels: a start-offset run over zero-prefixed rows
     /// equals the dense run on every backend — the skipped region is
-    /// structurally zero, so skipping it changes no arithmetic.
+    /// structurally zero, so skipping it changes no arithmetic. An output
+    /// limit computes a prefix of the product row whose columns are
+    /// bit-equal to the full run's first `limit`, rows starting at or past
+    /// the limit included (every AVX2 lane split: empty, sub-lane, one lane,
+    /// lane + 1, past the 32-wide unroll, full width).
     #[test]
     fn matmul_row_start_offsets_equal_dense(
-        dims in (1usize..=19, 1usize..=21),
+        dims in (1usize..=19, 1usize..=41),
         seed_a in arb_vec(19..=19),
-        seed_b in arb_vec(19 * 21..=19 * 21),
-        seed_s in proptest::collection::vec(0usize..=21, 19..=19),
+        seed_b in arb_vec(19 * 41..=19 * 41),
+        seed_s in proptest::collection::vec(0usize..=41, 19..=19),
+        limit_pick in 0usize..7,
     ) {
         let (k, n) = dims;
+        let limit = [0, 1, 7, 8, 9, 33, n][limit_pick].min(n);
         let a = &seed_a[..k];
         let starts: Vec<u32> = seed_s[..k].iter().map(|&s| (s % (n + 1)) as u32).collect();
         let mut b: Vec<f32> = seed_b[..k * n].to_vec();
@@ -97,6 +103,13 @@ proptest! {
             let mut pruned = vec![0.0f32; n];
             simd::matmul_row_with(be, a, &b, n, Some(&starts), &mut pruned);
             prop_assert_eq!(&pruned, &dense, "backend {:?}", be);
+            let mut prefix = vec![0.0f32; limit];
+            simd::matmul_row_with(be, a, &b, n, Some(&starts), &mut prefix);
+            prop_assert_eq!(
+                prefix.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                dense[..limit].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "backend {:?}, limit {}", be, limit
+            );
         }
     }
 
