@@ -42,6 +42,17 @@ cargo bench --no-run
 echo "== serving benchmark builds (its own workspace, outside tier-1) =="
 cargo build --release --offline --manifest-path servebench/Cargo.toml
 
+echo "== serving benchmark smoke: census reply checks =="
+# A 2 s census run (~4 s with setup). Its last line is the JSON result:
+# `correct` holds only if every answer lies in [0, N], none was degraded
+# below the full sample budget and the median q-error is finite and sane;
+# `failed` counts requests that got no answer.
+last=$(cargo run --release --quiet --offline --manifest-path servebench/Cargo.toml -- \
+    --workload census --seed 1 --seconds 2 | tail -n 1)
+echo "$last"
+grep -q '"correct": true' <<<"$last"
+grep -q '"failed": 0[,}]' <<<"$last"
+
 echo "== smoke: train -> checkpoint -> resume (bit-exact) =="
 cargo run --release --example train_checkpoint_resume -- \
     --metrics-out target/train_metrics.jsonl

@@ -309,16 +309,30 @@ impl VirtualSchema {
     /// The conditional region of the **low** subcolumn given a sampled high
     /// code: `{ l : (h << lo_bits | l) ∈ region }`.
     pub fn lo_region_given_hi(region: &Region, lo_bits: usize, h: u32, lo_domain: u32) -> Region {
+        let mut ranges = Vec::new();
+        Self::lo_ranges_given_hi(region, lo_bits, h, lo_domain, &mut ranges);
+        Region::from_codes(lo_domain, ranges.into_iter().flat_map(|(lo, hi)| lo..hi).collect())
+    }
+
+    /// [`Self::lo_region_given_hi`] as sorted, disjoint half-open code
+    /// ranges written into a reusable buffer (cleared first): the same
+    /// codes in the same order, without allocating a [`Region`].
+    pub fn lo_ranges_given_hi(
+        region: &Region,
+        lo_bits: usize,
+        h: u32,
+        lo_domain: u32,
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        out.clear();
         let base = h << lo_bits;
-        let mut codes = Vec::new();
         for &(lo, hi) in region.ranges() {
             let start = lo.max(base);
-            let end = hi.min(base + (1 << lo_bits));
+            let end = hi.min(base + (1 << lo_bits)).min(base.saturating_add(lo_domain));
             if start < end {
-                codes.extend((start - base)..(end - base));
+                out.push((start - base, end - base));
             }
         }
-        Region::from_codes(lo_domain, codes)
     }
 }
 

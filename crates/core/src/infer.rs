@@ -133,8 +133,11 @@ pub fn progressive_sample(
 }
 
 /// Inverse-CDF draw from `probs` restricted to `region` (total in-region
-/// mass `p_in`). Shared with the batched engine so the oracle and the
-/// engine consume the RNG identically.
+/// mass `p_in`): the first code whose running in-region sum reaches
+/// `u · p_in`, else the region's last code. Oracle-only: the batched engine
+/// builds each prefix's cumulative distribution once and bisects it for
+/// every row of the prefix, returning the same code for the same `u`
+/// (checked against this function in `infer_batch`'s tests).
 pub(crate) fn sample_in_region(
     probs: &[f32],
     region: &uae_query::Region,

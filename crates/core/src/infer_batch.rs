@@ -38,6 +38,24 @@
 //!   model's forward being row-independent: `hidden()` and `logits_col()`
 //!   compute each output row from its input row alone, so deduplicating
 //!   identical rows cannot change any value.
+//! * **Per-prefix region mass.** Rows sharing a prefix share its
+//!   conditional, and with it the step's support (a split column's
+//!   lo-region depends only on the hi code, which is part of the prefix).
+//!   So each round computes a prefix's in-support mass once (on its first
+//!   live row, in the oracle's summation order), then walks the rows in
+//!   ascending order applying the kill rule, the p̂ update and the draw
+//!   `target = u · mass`, bucketing each survivor under its prefix. A
+//!   prefix pass builds each prefix's cumulative distribution once, in one
+//!   reusable buffer, and resolves every bucketed row by binary search
+//!   over its finite, non-decreasing leading part (the linear rule takes
+//!   over past it, so NaN entries and negative weights pick exactly what
+//!   the oracle's scan picks). Child prefix ids come from a domain-sized
+//!   stamp table. All three step kinds (`Fixed`, `LoOfSplit`, `Weighted`)
+//!   share this one path, and its buffers are O(S + domain + prefixes).
+//!
+//!   Child ids are numbered parent by parent. Any numbering is exact: a
+//!   prefix id only picks a row of the stacked input, and the forward, the
+//!   softmax and the int8 quantizer compute each row from that row alone.
 //!
 //! * **Query sharding.** Queries never interact: each has its own RNG and
 //!   the forward is row-independent. A batch of `n` queries is therefore
@@ -64,7 +82,7 @@
 //! for every prefix table, the spare it swaps with, and the stacked input:
 //! a warm batch of one allocates nothing whatever its seeds.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -73,7 +91,6 @@ use rand::{RngExt, SeedableRng};
 use uae_tensor::Tensor;
 
 use crate::encoding::VirtualSchema;
-use crate::infer::sample_in_region;
 use crate::model::{ModelScratch, RawModel};
 use crate::vquery::{StepRegion, VirtualQuery};
 
@@ -130,9 +147,9 @@ struct WalkScratch {
     round: Vec<usize>,
     /// Stacked-row offset per query (`usize::MAX` = not stacked).
     offsets: Vec<usize>,
-    /// Prefix-id interner buffers, cleared per (query, round).
-    intern: HashMap<(usize, u32), usize>,
-    created: Vec<(usize, u32)>,
+    /// Per-prefix mass, sampling and interning buffers of one
+    /// (query, round).
+    prefix: RoundScratch,
 }
 
 /// Per-query sampler state between column rounds.
@@ -251,8 +268,7 @@ fn walk(
 ) -> Vec<f64> {
     let s = s.max(1);
     let width = schema.input_width();
-    let WalkScratch { model, stacked, spare, prefix_pool, round, offsets, intern, created } =
-        scratch;
+    let WalkScratch { model, stacked, spare, prefix_pool, round, offsets, prefix } = scratch;
     let members = || vqs.iter().zip(seeds).skip(shard).step_by(k);
     let n = members().len();
     if prefix_pool.len() < n {
@@ -296,7 +312,10 @@ fn walk(
     }
 
     for v in 0..=max_last {
-        if states.iter().all(Option::is_none) {
+        // Finished queries keep their state (`done`), so stop once no
+        // query is still walking: a batch whose samples all died builds no
+        // further rounds.
+        if states.iter().flatten().all(|st| st.done) {
             break;
         }
         round.clear();
@@ -346,7 +365,7 @@ fn walk(
             let st = states[i].as_mut().expect("round member");
             let offset = (offsets[i] != usize::MAX).then_some(offsets[i]);
             let first_row = first.as_ref().map(|a| a.as_slice());
-            advance_query(raw, schema, st, v, probs, offset, first_row, spare, intern, created);
+            advance_query(raw, schema, st, v, probs, offset, first_row, spare, prefix);
             if st.done {
                 results[i] = st.p_hat.iter().sum::<f64>() / s as f64;
             }
@@ -364,7 +383,8 @@ fn walk(
 
 /// Run one column round for one query, mirroring the per-step logic of
 /// `progressive_sample` exactly (same kills, same p-hat updates, same RNG
-/// consumption over live rows in ascending order).
+/// consumption over live rows in ascending order), with every per-prefix
+/// quantity computed once per distinct prefix instead of once per row.
 #[allow(clippy::too_many_arguments)]
 fn advance_query(
     raw: &RawModel,
@@ -375,104 +395,84 @@ fn advance_query(
     offset: Option<usize>,
     first: Option<&[f32]>,
     spare: &mut Tensor,
-    intern: &mut HashMap<(usize, u32), usize>,
-    created: &mut Vec<(usize, u32)>,
+    rs: &mut RoundScratch,
 ) {
     let s = st.p_hat.len();
     let domain = schema.codec(v).domain() as u32;
     let need_sample = v < st.last;
+    let vq = st.vq;
+    let step = vq.step(v);
+    let weighted = matches!(step, StepRegion::Weighted(_));
+    // A virgin query has one prefix (the all-wildcard row) and reads the
+    // memoized first-step distribution; otherwise prefix `p` is stacked
+    // row `offset + p`.
+    let prefixes = st.prefix_rows.rows();
     let virgin = st.virgin;
-    // Prefix-id interner for the codes drawn this round.
-    intern.clear();
-    created.clear();
-    let mut codes = vec![0u32; s];
-
-    let step = st.vq.step(v);
-    if let StepRegion::Weighted(w) = step {
-        // Fanout scaling: multiply by E[w(v) | z_<v] and importance-sample
-        // from the reweighted conditional.
-        // Range loop: `r` walks five parallel per-sample arrays at once.
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..s {
-            if !st.alive[r] {
-                continue;
-            }
-            let row: &[f32] = if virgin {
-                first.expect("first-step probs for virgin query")
-            } else {
-                let p = probs.expect("stacked probs for sampled query");
-                p.row(offset.expect("stack offset") + st.row_prefix[r])
-            };
-            let p_w: f64 = row.iter().zip(w.iter()).map(|(&p, &wv)| p as f64 * wv).sum();
-            if p_w <= 0.0 {
-                st.p_hat[r] = 0.0;
-                st.alive[r] = false;
-                continue;
-            }
-            st.p_hat[r] *= p_w;
-            if need_sample {
-                let target: f64 = st.rng.random::<f64>() * p_w;
-                let mut acc = 0.0f64;
-                let mut code = domain - 1;
-                for (c, (&p, &wv)) in row.iter().zip(w.iter()).enumerate() {
-                    acc += p as f64 * wv;
-                    if acc >= target {
-                        code = c as u32;
-                        break;
-                    }
-                }
-                codes[r] = code;
-                st.row_prefix[r] = intern_pair(intern, created, (st.row_prefix[r], code));
-            }
+    let prow = |p: usize| -> &[f32] {
+        if virgin {
+            first.expect("first-step probs for virgin query")
+        } else {
+            probs.expect("stacked probs for sampled query").row(offset.expect("stack offset") + p)
         }
-    } else {
-        // Fixed regions are shared by every row; borrow them once instead
-        // of cloning per row (split lo-regions depend on the sampled hi
-        // code and stay per-row).
-        let fixed_region = match step {
-            StepRegion::Fixed(region) => Some(region),
-            _ => None,
-        };
-        // Range loop: `r` walks five parallel per-sample arrays at once.
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..s {
-            if !st.alive[r] {
-                continue;
-            }
-            let lo_region;
-            let region = match (fixed_region, step) {
-                (Some(region), _) => region,
-                (None, StepRegion::LoOfSplit { hi_vcol, .. }) => {
-                    let hi_code = st.sampled[*hi_vcol].as_ref().expect("hi sampled before lo")[r];
-                    lo_region = st.vq.lo_region(v, hi_code, domain);
-                    &lo_region
-                }
-                _ => unreachable!(),
-            };
-            let row: &[f32] = if virgin {
-                first.expect("first-step probs for virgin query")
-            } else {
-                let p = probs.expect("stacked probs for sampled query");
-                p.row(offset.expect("stack offset") + st.row_prefix[r])
-            };
-            let p_in: f64 = region.iter_codes().map(|c| row[c as usize] as f64).sum();
-            if p_in <= 0.0 || region.is_empty() {
-                st.p_hat[r] = 0.0;
-                st.alive[r] = false;
-                continue;
-            }
-            st.p_hat[r] *= p_in.min(1.0);
-            if need_sample {
-                let code = sample_in_region(row, region, p_in, &mut st.rng);
-                codes[r] = code;
-                st.row_prefix[r] = intern_pair(intern, created, (st.row_prefix[r], code));
-            }
+    };
+    rs.start(prefixes, s, domain as usize);
+
+    // Row pass, ascending: the prefix's mass on first sight, then the kill
+    // rule and p̂ update, then the draw target. Kills consume no RNG, so the
+    // draw order is the oracle's.
+    let mut codes = vec![0u32; s];
+    for r in 0..s {
+        if !st.alive[r] {
+            continue;
+        }
+        let p = st.row_prefix[r];
+        if rs.rep[p] == NO_ROW {
+            rs.rep[p] = r as u32;
+            rs.mass[p] = support(step, &st.sampled, r, domain, &mut rs.ranges).mass(prow(p));
+        }
+        let mass = rs.mass[p];
+        if mass <= 0.0 {
+            st.p_hat[r] = 0.0;
+            st.alive[r] = false;
+            continue;
+        }
+        // Fanout weights scale by E[w(v) | z_<v] unclamped; a 0/1 region's
+        // mass is a probability, clamped against rounding above 1.
+        st.p_hat[r] *= if weighted { mass } else { mass.min(1.0) };
+        if need_sample {
+            rs.target[r] = st.rng.random::<f64>() * mass;
+            rs.push(p, r);
         }
     }
-
     if !need_sample {
         st.done = true; // v == last: the walk (and the estimate) is complete
         return;
+    }
+
+    // Prefix pass: one cumulative distribution per prefix, every bucketed
+    // row resolved against it, child prefix ids interned per parent.
+    for p in 0..prefixes {
+        let mut r = rs.head[p];
+        if r == NO_ROW {
+            continue;
+        }
+        let sup = support(step, &st.sampled, rs.rep[p] as usize, domain, &mut rs.ranges);
+        let fallback = sup.fallback(domain);
+        let mono = sup.fill_cdf(prow(p), &mut rs.cdf, &mut rs.cdf_codes);
+        let gen = rs.next_generation();
+        while r != NO_ROW {
+            let row = r as usize;
+            let code = resolve(&rs.cdf, &rs.cdf_codes, mono, rs.target[row], fallback);
+            let c = code as usize;
+            if rs.stamp[c] != gen {
+                rs.stamp[c] = gen;
+                rs.child[c] = rs.created.len() as u32;
+                rs.created.push((p, code));
+            }
+            codes[row] = code;
+            st.row_prefix[row] = rs.child[c] as usize;
+            r = rs.next[row];
+        }
     }
     st.sampled[v] = Some(codes);
     // Rebuild the prefix table from the pairs drawn this round into the
@@ -480,34 +480,345 @@ fn advance_query(
     // dead rows are never interned, so they vanish here (dead-sample
     // compaction); the displaced buffer becomes the next rebuild target.
     let (bs, be) = schema.input_slice(v);
-    spare.resize(created.len(), schema.input_width());
-    for (id, &(parent, code)) in created.iter().enumerate() {
+    spare.resize(rs.created.len(), schema.input_width());
+    for (id, &(parent, code)) in rs.created.iter().enumerate() {
         let dst = spare.row_mut(id);
         dst.copy_from_slice(st.prefix_rows.row(parent));
         raw.encode_into(v, code, &mut dst[bs..be]);
     }
     std::mem::swap(&mut st.prefix_rows, spare);
     st.virgin = false;
-    if created.is_empty() {
+    if rs.created.is_empty() {
         // Every sample died; all later rounds would be no-ops with p̂ = 0.
         st.done = true;
     }
 }
 
-fn intern_pair(
-    intern: &mut HashMap<(usize, u32), usize>,
-    created: &mut Vec<(usize, u32)>,
-    key: (usize, u32),
-) -> usize {
-    *intern.entry(key).or_insert_with(|| {
-        created.push(key);
-        created.len() - 1
-    })
+/// "No row" in the `u32` row links of [`RoundScratch`].
+const NO_ROW: u32 = u32::MAX;
+
+/// Buffers of one (query, round) of [`advance_query`], reused across
+/// rounds and batches. Sized O(S + domain + prefixes): nothing grows with
+/// prefixes × region size.
+#[derive(Debug, Default)]
+struct RoundScratch {
+    /// Per prefix: in-support mass, first live row (`NO_ROW` until seen),
+    /// and the first and last rows of its bucket of rows to sample.
+    mass: Vec<f64>,
+    rep: Vec<u32>,
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// Per row: the next row in its prefix's bucket, and its draw target
+    /// `u · mass`.
+    next: Vec<u32>,
+    target: Vec<f64>,
+    /// One prefix's lo-region ranges on a split column.
+    ranges: Vec<(u32, u32)>,
+    /// One prefix's cumulative in-support distribution and each entry's code.
+    cdf: Vec<f64>,
+    cdf_codes: Vec<u32>,
+    /// Child-prefix interner: `stamp[code] == generation` marks a code
+    /// already drawn under the current parent prefix, with id `child[code]`.
+    stamp: Vec<u32>,
+    child: Vec<u32>,
+    generation: u32,
+    /// (parent prefix, code) of each child prefix, in child-id order.
+    created: Vec<(usize, u32)>,
+}
+
+impl RoundScratch {
+    /// Reset the per-prefix and per-row state for a round over `prefixes`
+    /// prefixes, `s` rows and a `domain`-code column.
+    fn start(&mut self, prefixes: usize, s: usize, domain: usize) {
+        for buf in [&mut self.rep, &mut self.head, &mut self.tail] {
+            buf.clear();
+            buf.resize(prefixes, NO_ROW);
+        }
+        self.mass.clear();
+        self.mass.resize(prefixes, 0.0);
+        self.next.resize(s, NO_ROW);
+        self.target.resize(s, 0.0);
+        if self.stamp.len() < domain {
+            // Fresh entries hold 0, which no live generation uses.
+            self.stamp.resize(domain, 0);
+            self.child.resize(domain, 0);
+        }
+        self.created.clear();
+    }
+
+    /// Append row `r` to prefix `p`'s bucket (rows arrive in ascending order).
+    fn push(&mut self, p: usize, r: usize) {
+        self.next[r] = NO_ROW;
+        match self.tail[p] {
+            NO_ROW => self.head[p] = r as u32,
+            t => self.next[t as usize] = r as u32,
+        }
+        self.tail[p] = r as u32;
+    }
+
+    /// A generation no stamp holds yet; the stamps are cleared on wrap.
+    fn next_generation(&mut self) -> u32 {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+        self.generation
+    }
+}
+
+/// The codes one prefix's conditional is restricted to at one step, with
+/// their weights: a 0/1 region (a fixed region, or a split column's
+/// lo-region given the prefix's hi code) or a `Weighted` step's importance
+/// weights over the whole domain.
+#[derive(Debug, Clone, Copy)]
+enum Support<'a> {
+    Region(&'a [(u32, u32)]),
+    Weighted(&'a [f64]),
+}
+
+/// The support of step `step` for the prefix of sample row `row`. A split
+/// lo-region depends only on the hi code, which is part of the prefix, so
+/// any row of the prefix yields the same ranges (built into `lo`).
+fn support<'b>(
+    step: &'b StepRegion,
+    sampled: &[Option<Vec<u32>>],
+    row: usize,
+    domain: u32,
+    lo: &'b mut Vec<(u32, u32)>,
+) -> Support<'b> {
+    match step {
+        StepRegion::Fixed(region) => Support::Region(region.ranges()),
+        StepRegion::LoOfSplit { original, lo_bits, hi_vcol } => {
+            let hi = sampled[*hi_vcol].as_ref().expect("hi sampled before lo")[row];
+            VirtualSchema::lo_ranges_given_hi(original, *lo_bits, hi, domain, lo);
+            Support::Region(lo)
+        }
+        StepRegion::Weighted(w) => Support::Weighted(w),
+        StepRegion::Wildcard => unreachable!("wildcard steps skip the round"),
+    }
+}
+
+impl Support<'_> {
+    /// In-support mass of a softmaxed row: `Σ p` over the region, or
+    /// `Σ p·w` for weights, summed exactly as the oracle sums it.
+    fn mass(self, row: &[f32]) -> f64 {
+        match self {
+            Support::Region(ranges) => {
+                ranges.iter().flat_map(|&(lo, hi)| lo..hi).map(|c| row[c as usize] as f64).sum()
+            }
+            Support::Weighted(w) => row.iter().zip(w.iter()).map(|(&p, &wv)| p as f64 * wv).sum(),
+        }
+    }
+
+    /// The code the oracle's linear scan returns when no cumulative entry
+    /// reaches the target: the region's last code, or the domain's last
+    /// code for weights. Only asked of supports with positive mass, so a
+    /// region is never empty here.
+    fn fallback(self, domain: u32) -> u32 {
+        match self {
+            Support::Region(ranges) => ranges.last().map_or(0, |&(_, hi)| hi - 1),
+            Support::Weighted(_) => domain - 1,
+        }
+    }
+
+    /// Write the cumulative distribution of `row` over the support into
+    /// `cdf` (accumulated exactly as the oracle's scan accumulates) and each
+    /// entry's code into `codes`. Returns the length of the leading part
+    /// that is finite and non-decreasing, where [`resolve`] may bisect.
+    fn fill_cdf(self, row: &[f32], cdf: &mut Vec<f64>, codes: &mut Vec<u32>) -> usize {
+        cdf.clear();
+        codes.clear();
+        let mut acc = 0.0f64;
+        let mut mono = 0usize;
+        let mut push = |acc: f64, code: u32| {
+            if mono == cdf.len() && acc.is_finite() && cdf.last().is_none_or(|&prev| acc >= prev) {
+                mono += 1;
+            }
+            cdf.push(acc);
+            codes.push(code);
+        };
+        match self {
+            Support::Region(ranges) => {
+                for c in ranges.iter().flat_map(|&(lo, hi)| lo..hi) {
+                    acc += row[c as usize] as f64;
+                    push(acc, c);
+                }
+            }
+            Support::Weighted(w) => {
+                for (c, (&p, &wv)) in row.iter().zip(w.iter()).enumerate() {
+                    acc += p as f64 * wv;
+                    push(acc, c as u32);
+                }
+            }
+        }
+        mono
+    }
+}
+
+/// The oracle's inverse-CDF rule — the first code whose cumulative entry is
+/// `>= target`, else `fallback` — by binary search over the finite,
+/// non-decreasing leading `mono` entries (where "`>= target`" flips at most
+/// once, whatever the target, NaN included), then the linear scan over the
+/// rest (NaN entries, or a decrease from a negative weight).
+fn resolve(cdf: &[f64], codes: &[u32], mono: usize, target: f64, fallback: u32) -> u32 {
+    // "Not `>= target`": below it, or incomparable with a NaN target.
+    let i = cdf[..mono].partition_point(|&c| c.partial_cmp(&target).is_none_or(Ordering::is_lt));
+    if i < mono {
+        return codes[i];
+    }
+    cdf[mono..].iter().position(|&c| c >= target).map_or(fallback, |j| codes[mono + j])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::sample_in_region;
+    use proptest::prelude::*;
+    use uae_query::Region;
+
+    /// The oracle's linear inverse-CDF scan over a region with an explicit
+    /// target (`sample_in_region` after its draw).
+    fn linear_region(row: &[f32], region: &Region, target: f64) -> u32 {
+        let mut acc = 0.0f64;
+        let mut last = 0u32;
+        for c in region.iter_codes() {
+            acc += row[c as usize] as f64;
+            last = c;
+            if acc >= target {
+                return c;
+            }
+        }
+        last
+    }
+
+    /// The oracle's weighted linear scan (`progressive_sample`'s
+    /// `Weighted` branch) with an explicit target.
+    fn linear_weighted(row: &[f32], w: &[f64], target: f64) -> u32 {
+        let mut acc = 0.0f64;
+        for (c, (&p, &wv)) in row.iter().zip(w).enumerate() {
+            acc += p as f64 * wv;
+            if acc >= target {
+                return c as u32;
+            }
+        }
+        row.len() as u32 - 1
+    }
+
+    fn cdf_of(sup: Support<'_>, row: &[f32]) -> (Vec<f64>, Vec<u32>, usize) {
+        let (mut cdf, mut codes) = (Vec::new(), Vec::new());
+        let mono = sup.fill_cdf(row, &mut cdf, &mut codes);
+        (cdf, codes, mono)
+    }
+
+    /// Per-prefix mass equals the oracle's region sum bit for bit, and the
+    /// bisecting search returns the code of the oracle's linear scan, both
+    /// for an explicit `u` and for `sample_in_region`'s own draw.
+    fn check_region(row: &[f32], region: &Region, u: f64, seed: u64) {
+        let sup = Support::Region(region.ranges());
+        let oracle_mass: f64 = region.iter_codes().map(|c| row[c as usize] as f64).sum();
+        prop_assert_eq!(sup.mass(row).to_bits(), oracle_mass.to_bits(), "region {:?}", region);
+        let (cdf, codes, mono) = cdf_of(sup, row);
+        let fallback = sup.fallback(region.domain());
+        let target = u * oracle_mass;
+        prop_assert_eq!(
+            resolve(&cdf, &codes, mono, target, fallback),
+            linear_region(row, region, target),
+            "region {:?}, u {}",
+            region,
+            u
+        );
+        let drawn = StdRng::seed_from_u64(seed).random::<f64>() * oracle_mass;
+        prop_assert_eq!(
+            resolve(&cdf, &codes, mono, drawn, fallback),
+            sample_in_region(row, region, oracle_mass, &mut StdRng::seed_from_u64(seed)),
+            "region {:?}, seed {}",
+            region,
+            seed
+        );
+    }
+
+    /// Softmax-like rows with zero plateaus and tiny masses, and optionally
+    /// one NaN entry.
+    fn arb_row() -> impl Strategy<Value = Vec<f32>> {
+        let entry = (0u32..9, 0.0f32..1.0).prop_map(|(kind, x)| match kind {
+            0..=2 => 0.0,
+            3 => 1e-30,
+            _ => x,
+        });
+        (proptest::collection::vec(entry, 1..=40), 0usize..160).prop_map(|(mut row, nan)| {
+            // One case in four carries a NaN entry.
+            if nan < 40 {
+                let n = row.len();
+                row[nan % n] = f32::NAN;
+            }
+            row
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn per_prefix_sampling_matches_the_oracle_scan(
+            row in arb_row(),
+            mask in proptest::collection::vec(any::<bool>(), 40),
+            picks in (0u32..40, 0u32..40, 0u32..40),
+            lo in (1usize..=3, 1u32..=8),
+            weights in proptest::collection::vec(
+                (0u32..6, -1.5f64..3.0).prop_map(|(kind, w)| if kind < 2 { 0.0 } else { w }),
+                40,
+            ),
+            u in (0u32..6, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+                0 => 1.0 - f64::EPSILON,
+                1 => 0.0,
+                _ => u,
+            }),
+            seed in any::<u64>(),
+        ) {
+            let d = row.len() as u32;
+            let (a, b, c) = (picks.0 % d, picks.1 % d, picks.2 % d);
+            let codes: Vec<u32> = (0..d).filter(|&c| mask[c as usize]).collect();
+            let regions = [
+                Region::from_codes(d, codes),                  // IN: many ranges
+                Region::range(d, c, c + 1).complement(),       // !=: two ranges
+                Region::range(d, a.min(b), a.max(b) + 1),      // a range
+                Region::range(d, c, c + 1),                    // a single code
+                Region::all(d),
+                Region::empty(d),                              // zero mass
+            ];
+            for region in &regions {
+                check_region(&row, region, u, seed);
+            }
+
+            // A split column's lo-region given a hi code: the ranges the
+            // engine builds without allocating hold the oracle's codes, also
+            // where the lo domain cuts the hi code's block short.
+            let lo_bits = lo.0;
+            let lo_domain = lo.1.min(1 << lo_bits).min(d);
+            let hi = c >> lo_bits;
+            let mut ranges = Vec::new();
+            for original in &regions {
+                VirtualSchema::lo_ranges_given_hi(original, lo_bits, hi, lo_domain, &mut ranges);
+                let lo = VirtualSchema::lo_region_given_hi(original, lo_bits, hi, lo_domain);
+                prop_assert_eq!(&ranges[..], lo.ranges());
+                check_region(&row[..lo_domain as usize], &lo, u, seed);
+            }
+
+            // Fanout weights: zero and negative weights, NaN rows.
+            let w = &weights[..row.len()];
+            let sup = Support::Weighted(w);
+            let oracle_mass: f64 = row.iter().zip(w).map(|(&p, &wv)| p as f64 * wv).sum();
+            prop_assert_eq!(sup.mass(&row).to_bits(), oracle_mass.to_bits());
+            let (cdf, codes, mono) = cdf_of(sup, &row);
+            let target = u * oracle_mass;
+            prop_assert_eq!(
+                resolve(&cdf, &codes, mono, target, sup.fallback(d)),
+                linear_weighted(&row, w, target),
+                "weights {:?}, u {}", w, u
+            );
+        }
+    }
 
     #[test]
     fn shard_count_rule() {

@@ -378,3 +378,56 @@ fn sharded_batches_match_sequential_with_weighted_steps() {
     let sels = assert_shard_invariant(&raw, &schema, &vqs, 150, &seeds, QuantMode::F32);
     assert_eq!(sels[6], 0.0);
 }
+
+/// Queries whose samples all die mid-walk (all-zero fanout weights on a
+/// middle or first column, with constrained columns after it) next to live
+/// ones, and a batch in which every query dies: the walk stops once no
+/// query is live, and every estimate still matches the oracle bit for bit.
+#[test]
+fn all_killed_queries_match_sequential_next_to_live_ones() {
+    let rows = 240;
+    let cols = vec![
+        ("a".to_owned(), (0..rows).map(|r| Value::Int((r % 6) as i64)).collect()),
+        ("b".to_owned(), (0..rows).map(|r| Value::Int((r % 5) as i64)).collect()),
+        ("c".to_owned(), (0..rows).map(|r| Value::Int((r % 3) as i64)).collect()),
+        ("d".to_owned(), (0..rows).map(|r| Value::Int((r % 4) as i64)).collect()),
+    ];
+    let t = Table::from_columns("t", cols);
+    let schema = VirtualSchema::build(&t, usize::MAX);
+    let mut store = ParamStore::new();
+    let model =
+        ResMade::new(&mut store, &schema, &ResMadeConfig { hidden: 16, blocks: 1, seed: 11 });
+    let raw = model.snapshot(&store);
+
+    // Samples survive round 0, then all die on the zero weights at `b`.
+    let q = Query::new(vec![Predicate::le(0, 3i64), Predicate::eq(3, 1i64)]);
+    let mut dies_late = VirtualQuery::build(&t, &schema, &q);
+    dies_late.set_weighted(1, vec![0.0; 5]);
+    // Samples all die at the first column.
+    let q = Query::new(vec![Predicate::ge(2, 1i64), Predicate::le(3, 2i64)]);
+    let mut dies_first = VirtualQuery::build(&t, &schema, &q);
+    dies_first.set_weighted(0, vec![0.0; 6]);
+
+    let mut vqs: Vec<VirtualQuery> = Vec::new();
+    for k in 0..18i64 {
+        let q = Query::new(vec![
+            Predicate::ge(0, k % 4),
+            Predicate::le(2, 1 + k % 2),
+            Predicate::ge(3, k % 3),
+        ]);
+        vqs.push(VirtualQuery::build(&t, &schema, &q));
+    }
+    vqs.insert(4, dies_late.clone());
+    vqs.insert(13, dies_first.clone());
+
+    let seeds = seeds_for(vqs.len(), 0xdead);
+    let sels = assert_shard_invariant(&raw, &schema, &vqs, 150, &seeds, QuantMode::F32);
+    assert_eq!(sels[4], 0.0);
+    assert_eq!(sels[13], 0.0);
+    assert!(sels.iter().filter(|&&s| s > 0.0).count() >= 18, "live queries must stay live");
+
+    let dead = vec![dies_late, dies_first, vqs[4].clone()];
+    let seeds = seeds_for(dead.len(), 0xd1e);
+    let sels = assert_shard_invariant(&raw, &schema, &dead, 150, &seeds, QuantMode::F32);
+    assert!(sels.iter().all(|&s| s == 0.0));
+}

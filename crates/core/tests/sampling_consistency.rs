@@ -4,7 +4,9 @@
 //! because all three compute the same expectation under the same model.
 
 use proptest::prelude::*;
-use uae_core::infer::{exhaustive_selectivity, progressive_sample, uniform_sample_estimate};
+use uae_core::infer::{
+    exhaustive_selectivity, progressive_sample, progressive_sample_batch, uniform_sample_estimate,
+};
 use uae_core::{ResMade, ResMadeConfig, VirtualQuery, VirtualSchema};
 use uae_data::{Table, Value};
 use uae_query::{PredOp, Predicate, Query};
@@ -12,6 +14,16 @@ use uae_tensor::rng::seeded_rng;
 use uae_tensor::ParamStore;
 
 fn small_setup(domains: &[usize], seed: u64) -> (Table, VirtualSchema, ParamStore, ResMade) {
+    small_setup_factorized(domains, usize::MAX, seed)
+}
+
+/// [`small_setup`] with columns wider than `factor_threshold` factorized
+/// into hi/lo virtual columns.
+fn small_setup_factorized(
+    domains: &[usize],
+    factor_threshold: usize,
+    seed: u64,
+) -> (Table, VirtualSchema, ParamStore, ResMade) {
     let rows = 16;
     let cols = domains
         .iter()
@@ -22,7 +34,7 @@ fn small_setup(domains: &[usize], seed: u64) -> (Table, VirtualSchema, ParamStor
         })
         .collect();
     let t = Table::from_columns("t", cols);
-    let schema = VirtualSchema::build(&t, usize::MAX);
+    let schema = VirtualSchema::build(&t, factor_threshold);
     let mut store = ParamStore::new();
     let model = ResMade::new(&mut store, &schema, &ResMadeConfig { hidden: 8, blocks: 1, seed });
     (t, schema, store, model)
@@ -56,6 +68,48 @@ proptest! {
         let tol = 0.12 * exact.max(0.03);
         prop_assert!((prog - exact).abs() < tol, "progressive {} vs exact {}", prog, exact);
         prop_assert!((unif - exact).abs() < tol * 2.0, "uniform {} vs exact {}", unif, exact);
+    }
+
+    /// The served engine on factorized columns: with a factor threshold of
+    /// 4, every column wider than 4 codes becomes a hi/lo pair, so range,
+    /// `!=` and `IN` predicates on it sample `LoOfSplit` steps through the
+    /// batched engine's per-prefix path. Each estimate converges to the
+    /// exhaustive value within the tolerance of the case above. As there,
+    /// no wildcard precedes a constrained column: enumeration sums a
+    /// wildcard out, which an untrained model's wildcard input need not
+    /// match.
+    #[test]
+    fn served_engine_agrees_with_enumeration_on_split_columns(
+        seed in 0u64..1000,
+        d0 in 6usize..=12,
+        d1 in 2usize..6,
+        lo in 0i64..4,
+        width in 1i64..8,
+    ) {
+        let (t, schema, store, model) = small_setup_factorized(&[d0, d1, 3], 4, seed);
+        prop_assert!(schema.num_virtual() > t.num_cols(), "column 0 must be factorized");
+        let raw = model.snapshot(&store);
+        let hi = (lo + width).min(d0 as i64 - 1);
+        let queries = [
+            Query::new(vec![Predicate::ge(0, lo), Predicate::le(0, hi)]),
+            Query::new(vec![
+                Predicate::new(0, PredOp::Ne, Value::Int(lo)),
+                Predicate::eq(1, (seed % d1 as u64) as i64),
+            ]),
+            Query::new(vec![
+                Predicate::is_in(0, vec![Value::Int(lo), Value::Int(hi), Value::Int(5)]),
+                Predicate::ge(1, 1i64),
+            ]),
+        ];
+        let vqs: Vec<VirtualQuery> =
+            queries.iter().map(|q| VirtualQuery::build(&t, &schema, q)).collect();
+        let seeds: Vec<u64> = (0..vqs.len() as u64).map(|i| seed ^ (0xba7c4 + i)).collect();
+        let served = progressive_sample_batch(&raw, &schema, &vqs, 3000, &seeds);
+        for (vq, &est) in vqs.iter().zip(&served) {
+            let exact = exhaustive_selectivity(&raw, &schema, vq);
+            let tol = 0.12 * exact.max(0.03);
+            prop_assert!((est - exact).abs() < tol, "served {} vs exact {}", est, exact);
+        }
     }
 
     /// Estimates are monotone in the region: widening a range cannot

@@ -8,7 +8,7 @@
 //! live cell shared across threads, [`ServerStats`] the plain snapshot
 //! handed to callers.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
@@ -125,7 +125,10 @@ pub struct ServerStatsCell {
     pub(crate) flush_drain: AtomicU64,
     pub(crate) executor_panics: AtomicU64,
     pub(crate) batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
-    pub(crate) queue_depth: AtomicUsize,
+    /// Signed: a submitter raises the gauge only after its request is
+    /// queued, so an executor can lower it first and take it below zero
+    /// for a moment. Readers clamp at zero.
+    pub(crate) queue_depth: AtomicIsize,
     pub(crate) max_queue_depth: AtomicUsize,
     pub(crate) queue_wait_ns: AtomicU64,
     pub(crate) execute_ns: AtomicU64,
@@ -135,17 +138,17 @@ impl ServerStatsCell {
     /// Raise the in-flight gauge, keeping the high-water mark.
     pub(crate) fn enter(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-        self.max_queue_depth.fetch_max(depth, Ordering::SeqCst);
+        self.max_queue_depth.fetch_max(depth.max(0) as usize, Ordering::SeqCst);
     }
 
     /// Lower the in-flight gauge by `n` replies.
     pub(crate) fn exit(&self, n: usize) {
-        self.queue_depth.fetch_sub(n, Ordering::SeqCst);
+        self.queue_depth.fetch_sub(n as isize, Ordering::SeqCst);
     }
 
     /// Current in-flight requests (accepted, not yet replied).
     pub fn depth(&self) -> usize {
-        self.queue_depth.load(Ordering::SeqCst)
+        self.queue_depth.load(Ordering::SeqCst).max(0) as usize
     }
 
     /// Plain snapshot of every counter.
@@ -175,7 +178,7 @@ impl ServerStatsCell {
             flush_drain: ld(&self.flush_drain),
             executor_panics: ld(&self.executor_panics),
             batch_hist,
-            queue_depth: self.queue_depth.load(Ordering::SeqCst),
+            queue_depth: self.depth(),
             max_queue_depth: self.max_queue_depth.load(Ordering::SeqCst),
             queue_wait_ms_total: ld(&self.queue_wait_ns) as f64 / 1e6,
             execute_ms_total: ld(&self.execute_ns) as f64 / 1e6,
@@ -329,5 +332,19 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.max_queue_depth, 3);
+    }
+
+    #[test]
+    fn depth_gauge_survives_a_reply_before_its_enter() {
+        // An executor can answer a request before its submitter raises
+        // the gauge; the gauge must neither wrap nor overflow.
+        let c = ServerStatsCell::default();
+        c.exit(1);
+        assert_eq!(c.depth(), 0);
+        c.enter();
+        assert_eq!(c.depth(), 0);
+        c.enter();
+        assert_eq!(c.depth(), 1);
+        assert_eq!(c.snapshot().max_queue_depth, 1);
     }
 }

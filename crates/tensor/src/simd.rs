@@ -393,7 +393,7 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// `y += a * x` with 4x-unrolled 8-lane FMA.
+    /// `y += a * x` with 4x-unrolled 8-lane FMA and a masked final partial lane.
     ///
     /// # Safety
     /// avx2+fma; `y.len() >= x.len()`.
@@ -429,9 +429,20 @@ pub(crate) mod avx2 {
             _mm256_storeu_ps(yp.add(i), yv);
             i += 8;
         }
-        while i < n {
-            *yp.add(i) = a.mul_add(*xp.add(i), *yp.add(i));
-            i += 1;
+        if i < n {
+            // Masked tail: one FMA over the last `n - i < 8` lanes. Masked-off
+            // lanes are neither read nor written, and every live lane gets the
+            // same single-rounding FMA as a scalar `mul_add`.
+            let mask = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32((n - i) as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            let yv = _mm256_fmadd_ps(
+                av,
+                _mm256_maskload_ps(xp.add(i), mask),
+                _mm256_maskload_ps(yp.add(i), mask),
+            );
+            _mm256_maskstore_ps(yp.add(i), mask, yv);
         }
     }
 

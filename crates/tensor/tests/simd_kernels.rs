@@ -113,6 +113,53 @@ proptest! {
         }
     }
 
+    /// The AVX2 axpy finishes a row with one masked FMA over its last
+    /// `len % 8` lanes. Every tail length 1..=7, behind bodies that end in
+    /// the 32-wide unroll, the 8-wide loop or nothing, at several starts,
+    /// is bit-equal to a scalar `mul_add` per element (one rounding, like
+    /// the FMA lanes), and the masked store leaves the sentinels just past
+    /// `out.len()` in the same buffer untouched. The sentinels are zeros and
+    /// `x` continues with ones in its buffer, so a lane stored past the end
+    /// would hold `a != 0` (a NaN sentinel would survive an FMA unchanged).
+    #[test]
+    fn avx2_masked_tail_bit_equals_scalar_fma(
+        a in -3.0f32..3.0,
+        seed_x in arb_vec(64..=64),
+        seed_y in arb_vec(64..=64),
+    ) {
+        if !avx2_available() {
+            return;
+        }
+        prop_assume!(a != 0.0);
+        for start in [0usize, 1, 3, 5, 8, 13] {
+            for body in [0usize, 8, 32, 40] {
+                for tail in 1..=7usize {
+                    let n = start + body + tail;
+                    let mut x_buf = seed_x[..n].to_vec();
+                    x_buf.extend([1.0f32; 8]);
+                    let x = &x_buf[..n];
+                    let mut buf: Vec<f32> = seed_y[..n].to_vec();
+                    buf.extend([0.0f32; 8]);
+                    let mut want = seed_y[..n].to_vec();
+                    for j in start..n {
+                        want[j] = a.mul_add(x[j], want[j]);
+                    }
+                    let starts = [start as u32];
+                    simd::matmul_row_with(Backend::Avx2, &[a], x, n, Some(&starts), &mut buf[..n]);
+                    prop_assert_eq!(
+                        buf[..n].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "start {}, body {}, tail {}", start, body, tail
+                    );
+                    prop_assert!(
+                        buf[n..].iter().all(|v| v.to_bits() == 0),
+                        "write past out.len(): start {}, body {}, tail {}", start, body, tail
+                    );
+                }
+            }
+        }
+    }
+
     /// All three bias epilogues are element-wise, hence bit-identical
     /// across every backend, remainder lanes and denormals included.
     #[test]
