@@ -57,27 +57,32 @@ echo "== smoke: train -> checkpoint -> resume (bit-exact) =="
 cargo run --release --example train_checkpoint_resume -- \
     --metrics-out target/train_metrics.jsonl
 test -s target/train_metrics.jsonl
+grep -q '"event":"epoch"' target/train_metrics.jsonl
 
 echo "== fault drill: degraded serving under injected faults =="
 cargo run --release --example serve_fault_drill -- \
     --metrics-out target/serve_faults.jsonl
 test -s target/serve_faults.jsonl
+grep -q '"event":"fallback"' target/serve_faults.jsonl
 
 echo "== serving smoke: concurrent front-end burst drill =="
 cargo run --release --example serve_concurrent -- \
     --metrics-out target/serving.jsonl
 test -s target/serving.jsonl
+grep -q '"event":"request_served"' target/serving.jsonl
 
 echo "== online smoke: drift drill with shadow-gated recovery =="
 cargo run --release --example online_drift_drill -- \
     --metrics-out target/online_promotions.jsonl
 test -s target/online_promotions.jsonl
+grep -q '"event":"online_promoted"' target/online_promotions.jsonl
 test -s target/BENCH_online.json
 
 echo "== chaos drill: crash-safety matrix (default + scalar) =="
 cargo run --release --example chaos_drill
 test -s target/chaos_drill.jsonl
 test -s target/chaos_recovery.jsonl
+grep -q '"event":"recovery_finished"' target/chaos_recovery.jsonl
 test -s target/BENCH_recovery.json
 UAE_FORCE_SCALAR=1 cargo run --release --example chaos_drill
 test -s target/BENCH_recovery.json
@@ -86,8 +91,10 @@ echo "== router smoke: model-fleet routing drill (default + scalar) =="
 cargo run --release --example route_drill -- \
     --metrics-out target/routing_telemetry.jsonl
 test -s target/routing_telemetry.jsonl
+grep -q '"event":"routed"' target/routing_telemetry.jsonl
 UAE_FORCE_SCALAR=1 cargo run --release --example route_drill -- \
     --metrics-out target/routing_telemetry_scalar.jsonl
 test -s target/routing_telemetry_scalar.jsonl
+grep -q '"event":"routed"' target/routing_telemetry_scalar.jsonl
 
 echo "CI OK"

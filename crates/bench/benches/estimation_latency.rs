@@ -1,8 +1,8 @@
 //! Figure 5(2) as a Criterion bench: per-query estimation latency of every
 //! estimator on a DMV-like table — plus the batched-inference study:
 //! sequential vs cross-query batched progressive sampling on the table5
-//! join workload, with a `BENCH_inference.json` summary (queries/sec at
-//! S ∈ {200, 1000}, batch ∈ {1, 32, 256}).
+//! join workload, with a printed queries/sec sweep over S ∈ {200, 1000} and
+//! batch ∈ {1, 32, 256}. End-to-end serving numbers come from `servebench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::HashSet;
@@ -19,8 +19,6 @@ use uae_join::{
 use uae_query::{
     default_bounded_column, generate_workload, CardEstimator, LabeledQuery, WorkloadSpec,
 };
-use uae_tensor::simd;
-use uae_tensor::{Backend, QuantMode};
 
 struct Setup {
     queries: Vec<LabeledQuery>,
@@ -96,157 +94,22 @@ fn run_batched(uae: &JoinUae, queries: &[JoinQuery], batch: usize) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-/// One measured configuration of the sweep.
-struct SweepPoint {
-    samples: usize,
-    batch: usize,
-    queries_per_sec: f64,
-}
-
 /// Sweep S ∈ {200, 1000} × batch ∈ {1, 32, 256} over the table5 workload
-/// and write `BENCH_inference.json` at the repository root.
-fn emit_inference_json(uae: &mut JoinUae, queries: &[JoinQuery]) {
-    let mut points: Vec<SweepPoint> = Vec::new();
+/// and print queries/sec for each point.
+fn print_sweep(uae: &mut JoinUae, queries: &[JoinQuery]) {
     for &samples in &[200usize, 1000] {
         uae.uae_mut().set_estimate_samples(samples);
         for &batch in &[1usize, 32, 256] {
             let secs = run_batched(uae, queries, batch);
             let qps = queries.len() as f64 / secs.max(1e-12);
-            eprintln!("[inference] S={samples} batch={batch}: {:.1} queries/sec ({secs:.2}s)", qps);
-            points.push(SweepPoint { samples, batch, queries_per_sec: qps });
+            eprintln!("[inference] S={samples} batch={batch}: {qps:.1} queries/sec ({secs:.2}s)");
         }
     }
-    let qps_at = |s: usize, b: usize| {
-        points
-            .iter()
-            .find(|p| p.samples == s && p.batch == b)
-            .map(|p| p.queries_per_sec)
-            .unwrap_or(0.0)
-    };
-    let speedup = qps_at(1000, 256) / qps_at(1000, 1).max(1e-12);
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"samples\": {}, \"batch\": {}, \"queries_per_sec\": {:.2}}}",
-                p.samples, p.batch, p.queries_per_sec
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"workload\": \"table5 JOB-light-ranges-focused (imdb_like star schema)\",\n  \
-         \"num_queries\": {},\n  \"results\": [\n{}\n  ],\n  \
-         \"speedup_batched_256_vs_sequential_at_s1000\": {:.2}\n}}\n",
-        queries.len(),
-        rows.join(",\n"),
-        speedup
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_inference.json");
-    std::fs::write(path, json).expect("write BENCH_inference.json");
-    eprintln!("[inference] S=1000 batch=256 speedup over sequential: {speedup:.2}x");
-}
-
-/// Queries/sec of the PR1 batched-inference engine (pre plan/workspace
-/// split) on this exact workload, from `BENCH_inference.json` at that
-/// commit. Baseline for the zero-allocation refactor's speedup gate.
-const PR1_BASELINE_QPS: [(usize, usize, f64); 3] =
-    [(1000, 256, 148.82), (1000, 1, 18.32), (200, 256, 462.97)];
-
-/// Queries/sec of the PR3 scalar workspace engine at S=1000 / batch=256
-/// on this exact workload, from `BENCH_workspace.json` at that commit.
-/// Baseline for the SIMD / int8 trajectory gates.
-const PR3_SCALAR_QPS: f64 = 413.72;
-
-/// Re-measure the PR1 sweep points on the current engine and append the
-/// scalar → SIMD f32 → int8 trajectory at S=1000 / batch=256, writing
-/// `BENCH_workspace.json`. Buffers are warmed with one untimed pass per
-/// point so every measurement reflects the steady state. Each trajectory
-/// leg rebuilds the snapshot: weight *layout* (mask packing, quantized
-/// panels) is fixed at snapshot time by the backend and quant mode.
-fn emit_workspace_json(uae: &mut JoinUae, queries: &[JoinQuery]) {
-    let mut rows: Vec<String> = Vec::new();
-    let mut headline = 0.0f64;
-    for &(samples, batch, baseline) in &PR1_BASELINE_QPS {
-        uae.uae_mut().set_estimate_samples(samples);
-        run_batched(uae, queries, batch); // warm the scratch buffers
-        let secs = run_batched(uae, queries, batch);
-        let qps = queries.len() as f64 / secs.max(1e-12);
-        let speedup = qps / baseline;
-        if samples == 1000 && batch == 256 {
-            headline = speedup;
-        }
-        eprintln!(
-            "[workspace] S={samples} batch={batch}: {qps:.1} queries/sec \
-             (PR1 {baseline:.1}, {speedup:.2}x)"
-        );
-        rows.push(format!(
-            "    {{\"samples\": {samples}, \"batch\": {batch}, \
-             \"queries_per_sec\": {qps:.2}, \"baseline_queries_per_sec\": {baseline:.2}, \
-             \"speedup\": {speedup:.2}}}"
-        ));
-    }
-
-    // The kernel trajectory: identical workload and engine, only the
-    // numeric backend of the forward pass changes.
-    uae.uae_mut().set_estimate_samples(1000);
-    let legs: [(&str, Backend, QuantMode); 3] = [
-        ("scalar", Backend::Exact, QuantMode::F32),
-        ("simd_f32", Backend::Avx2, QuantMode::F32),
-        ("int8", Backend::Avx2, QuantMode::Int8),
-    ];
-    let mut traj: Vec<String> = Vec::new();
-    let mut leg_qps = [0.0f64; 3];
-    let prev = simd::backend();
-    for (i, &(name, be, mode)) in legs.iter().enumerate() {
-        simd::set_backend(be);
-        uae.uae_mut().set_quant_mode(mode);
-        uae.uae_mut().invalidate_snapshot();
-        run_batched(uae, queries, 256); // warm + rebuild snapshot
-        let secs = run_batched(uae, queries, 256);
-        let qps = queries.len() as f64 / secs.max(1e-12);
-        leg_qps[i] = qps;
-        let vs_pr3 = qps / PR3_SCALAR_QPS;
-        eprintln!(
-            "[trajectory] {name} (backend {:?}): {qps:.1} queries/sec ({vs_pr3:.2}x PR3 scalar)",
-            simd::backend()
-        );
-        traj.push(format!(
-            "    {{\"mode\": \"{name}\", \"backend\": \"{:?}\", \"samples\": 1000, \
-             \"batch\": 256, \"queries_per_sec\": {qps:.2}, \"speedup_vs_pr3_scalar\": {vs_pr3:.2}}}",
-            simd::backend()
-        ));
-    }
-    simd::set_backend(prev);
-    uae.uae_mut().set_quant_mode(QuantMode::F32);
-    uae.uae_mut().invalidate_snapshot();
-
-    let json = format!(
-        "{{\n  \"workload\": \"table5 JOB-light-ranges-focused (imdb_like star schema)\",\n  \
-         \"baseline\": \"PR1 batched inference engine (pre plan/workspace split)\",\n  \
-         \"num_queries\": {},\n  \"results\": [\n{}\n  ],\n  \
-         \"speedup_at_s1000_batch256\": {:.2},\n  \
-         \"trajectory_baseline\": \"PR3 scalar workspace engine, {PR3_SCALAR_QPS} qps at S=1000 batch=256\",\n  \
-         \"trajectory\": [\n{}\n  ],\n  \
-         \"simd_speedup_vs_pr3_scalar\": {:.2},\n  \"int8_speedup_vs_pr3_scalar\": {:.2}\n}}\n",
-        queries.len(),
-        rows.join(",\n"),
-        headline,
-        traj.join(",\n"),
-        leg_qps[1] / PR3_SCALAR_QPS,
-        leg_qps[2] / PR3_SCALAR_QPS,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_workspace.json");
-    std::fs::write(path, json).expect("write BENCH_workspace.json");
-    eprintln!(
-        "[trajectory] S=1000 batch=256: scalar {:.1} -> simd {:.1} -> int8 {:.1} queries/sec",
-        leg_qps[0], leg_qps[1], leg_qps[2]
-    );
 }
 
 fn bench_batched_inference(c: &mut Criterion) {
     let (mut uae, queries) = setup_join(256);
-    emit_inference_json(&mut uae, &queries);
-    emit_workspace_json(&mut uae, &queries);
+    print_sweep(&mut uae, &queries);
 
     // Criterion group on a smaller slice so iteration counts stay sane.
     let slice = &queries[..queries.len().min(32)];

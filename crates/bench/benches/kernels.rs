@@ -1,9 +1,9 @@
 //! Microbenchmarks of the inference kernel layer at ResMADE shapes
 //! (128-wide hidden layers, 256-row sample batches): f32 matmul on every
 //! backend, the int8 panel matmul including dynamic activation
-//! quantization, and the fused epilogues. Writes `BENCH_kernels.json` at
-//! the repository root with ns/call, GFLOP/s and speedups over the Exact
-//! scalar oracle, then registers the same kernels as Criterion benches.
+//! quantization, and the fused epilogues. Prints ns/call, GFLOP/s and
+//! speedups over the Exact scalar oracle, then registers the same kernels
+//! as Criterion benches.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -193,47 +193,28 @@ fn measure_all() -> Vec<KernelRow> {
     rows
 }
 
-fn emit_kernels_json(rows: &[KernelRow]) {
+fn print_rows(rows: &[KernelRow]) {
     let exact_ns = |kernel: &str| {
         rows.iter()
             .find(|r| r.kernel == kernel && r.backend == "Exact")
             .map(|r| r.ns_per_call)
             .unwrap_or(f64::NAN)
     };
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"kernel\": \"{}\", \"backend\": \"{}\", \"ns_per_call\": {:.0}, \
-                 \"gflops\": {:.2}, \"speedup_vs_exact\": {:.2}}}",
-                r.kernel,
-                r.backend,
-                r.ns_per_call,
-                r.gflops,
-                exact_ns(r.kernel) / r.ns_per_call
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"shapes\": \"ResMADE serving: 256-row sample batch, 128-wide layers\",\n  \
-         \"note\": \"matmul/int8 timings are one full 256-row batch per call; \
-         int8 includes per-row dynamic activation quantization\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(path, json).expect("write BENCH_kernels.json");
     for r in rows {
         eprintln!(
-            "[kernels] {:<26} {:<8} {:>10.0} ns/call {:>8.2} GFLOP/s",
-            r.kernel, r.backend, r.ns_per_call, r.gflops
+            "[kernels] {:<26} {:<8} {:>10.0} ns/call {:>8.2} GFLOP/s {:>6.2}x exact",
+            r.kernel,
+            r.backend,
+            r.ns_per_call,
+            r.gflops,
+            exact_ns(r.kernel) / r.ns_per_call
         );
     }
 }
 
 fn bench_kernels(c: &mut Criterion) {
     let rows = measure_all();
-    emit_kernels_json(&rows);
+    print_rows(&rows);
 
     // The same kernels under Criterion for relative tracking.
     let a = Tensor::from_vec(ROWS, K, pseudo(0xA11CE, -1.5, 1.5, ROWS * K));

@@ -25,7 +25,7 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use uae_core::{DpsConfig, JsonlObserver, ResMadeConfig, TrainConfig, Uae, UaeConfig};
+use uae_core::{DpsConfig, JsonlSink, ResMadeConfig, TrainConfig, Uae, UaeConfig};
 use uae_data::Table;
 use uae_estimators::{
     BayesNetEstimator, FeedbackKdeEstimator, HistogramEstimator, KdeEstimator,
@@ -107,8 +107,8 @@ impl BenchScale {
 }
 
 /// Value of the `--metrics-out PATH` flag (`--metrics-out=PATH` is also
-/// accepted): where a bench binary appends per-epoch training telemetry as
-/// JSONL, one event per line (see `uae_core::telemetry`).
+/// accepted): where a bench binary appends each model's training and serving
+/// telemetry as JSONL, one event per line (see `uae_core::telemetry`).
 pub fn metrics_out_arg() -> Option<PathBuf> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -159,8 +159,8 @@ pub fn report_serve_stats(label: &str, uae: &Uae) {
 /// single metrics file, distinguished by label.
 pub fn attach_metrics(uae: &mut Uae, path: Option<&Path>, label: &str) {
     if let Some(p) = path {
-        match JsonlObserver::append(p, label) {
-            Ok(obs) => uae.set_observer(Box::new(obs)),
+        match JsonlSink::append(p, label) {
+            Ok(sink) => uae.set_sink(Box::new(sink)),
             Err(e) => eprintln!("[metrics] cannot open {}: {e}", p.display()),
         }
     }

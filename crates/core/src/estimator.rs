@@ -23,9 +23,7 @@ use crate::serialize::{CheckpointError, CheckpointState, LoadError};
 use crate::serve::{
     healthy, retry_seed, Estimate, EstimateError, EstimateSource, ServeConfig, Validation,
 };
-use crate::telemetry::{
-    EpochMetrics, ServeEvent, ServeObserver, ServeStats, TrainEvent, TrainObserver, TrainStats,
-};
+use crate::telemetry::{EpochMetrics, Event, ServeStats, Sink, TrainStats};
 use crate::train::{data_loss, query_loss, TrainConfig, TrainQuery};
 use crate::vquery::VirtualQuery;
 
@@ -78,21 +76,22 @@ struct EstCache {
 
 /// Serving-side runtime state: degradation counters, the serving-index
 /// cursor fault plans key on, the lazily built always-available baseline,
-/// and the observer sink. Lives inside the `est` mutex because every
-/// estimate entry point takes `&self`.
+/// and the estimator's one event sink (train and serve events). Lives
+/// inside the `est` mutex because every estimate entry point takes
+/// `&self`; the train loop reaches it through `Mutex::get_mut`.
 #[derive(Default)]
 struct ServeState {
     stats: ServeStats,
     /// The histogram baseline, built on first fallback and invalidated by
     /// data ingestion.
     fallback: Option<HistogramEstimator>,
-    observer: Option<Box<dyn ServeObserver>>,
+    sink: Option<Box<dyn Sink>>,
 }
 
 impl ServeState {
-    fn emit(&mut self, event: ServeEvent) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_serve_event(&event);
+    fn emit(&mut self, event: Event) {
+        if let Some(sink) = self.sink.as_mut() {
+            sink.emit(&event);
         }
     }
 }
@@ -192,10 +191,6 @@ pub struct Uae {
     est: Mutex<EstCache>,
     stats: TrainStats,
     guard: DivergenceGuard,
-    /// Train-loop observer. Only touched through `&mut self`, but kept
-    /// behind a mutex so `Uae` stays `Sync`: the concurrent serving
-    /// front-end shares one estimator across executor threads via `Arc`.
-    observer: Mutex<Option<Box<dyn TrainObserver>>>,
 }
 
 impl Uae {
@@ -232,7 +227,6 @@ impl Uae {
             }),
             stats: TrainStats::default(),
             guard: DivergenceGuard::default(),
-            observer: Mutex::new(None),
         }
     }
 
@@ -396,7 +390,7 @@ impl Uae {
         }
         serve.stats.panics_isolated += 1;
         let single = (vqs.len() == 1).then(|| ids[0]);
-        serve.emit(ServeEvent::PanicIsolated { index: single });
+        serve.emit(Event::PanicIsolated { index: single });
         if single.is_some() {
             return vec![None];
         }
@@ -433,7 +427,7 @@ impl Uae {
         let retried = !accept(sel) && sc.retry;
         if retried {
             est.serve.stats.retries += 1;
-            est.serve.emit(ServeEvent::Retry { index: idx, value: sel });
+            est.serve.emit(Event::Retry { index: idx, value: sel });
             let boosted = samples.max(1) * sc.retry_boost.max(1);
             let again =
                 self.attempt(est, slice::from_ref(vq), &[retry_seed(qseed)], &[idx], boosted);
@@ -443,7 +437,7 @@ impl Uae {
             return (Some(sel), retried);
         }
         est.serve.stats.fallbacks += 1;
-        est.serve.emit(ServeEvent::Fallback { index: idx, value: sel });
+        est.serve.emit(Event::Fallback { index: idx, value: sel });
         (None, retried)
     }
 
@@ -529,7 +523,7 @@ impl Uae {
         };
         if clamped {
             serve.stats.clamped += 1;
-            serve.emit(ServeEvent::Clamped { index: idx, raw: sel });
+            serve.emit(Event::Clamped { index: idx, raw: sel });
         }
         Estimate {
             selectivity: clamped_sel,
@@ -624,17 +618,17 @@ impl Uae {
                 let remapped = match c {
                     Err(e) => {
                         serve.stats.rejected += 1;
-                        serve.emit(ServeEvent::QueryRejected { index: idx, error: e.to_string() });
+                        serve.emit(Event::QueryRejected { index: idx, error: e.to_string() });
                         return Err(e);
                     }
                     Ok((_, Validation::Empty)) => {
                         serve.stats.validated_empty += 1;
-                        serve.emit(ServeEvent::ValidationShortcut { index: idx, empty: true });
+                        serve.emit(Event::ValidationShortcut { index: idx, empty: true });
                         return Ok(self.finish(idx, 0.0, EstimateSource::Validation, false, serve));
                     }
                     Ok((_, Validation::Trivial)) => {
                         serve.stats.validated_trivial += 1;
-                        serve.emit(ServeEvent::ValidationShortcut { index: idx, empty: false });
+                        serve.emit(Event::ValidationShortcut { index: idx, empty: false });
                         return Ok(self.finish(idx, 1.0, EstimateSource::Validation, false, serve));
                     }
                     Ok((remapped, Validation::Sample)) => remapped,
@@ -642,7 +636,7 @@ impl Uae {
                 if degraded {
                     serve.stats.degraded += 1;
                     let configured = self.cfg.estimate_samples;
-                    serve.emit(ServeEvent::Degraded { index: idx, samples, configured });
+                    serve.emit(Event::Degraded { index: idx, samples, configured });
                 }
                 let (vq, first) = sampled.next().expect("one attempt per sampled query");
                 let (sel, retried) =
@@ -703,16 +697,17 @@ impl Uae {
         self.est.lock().raw = None;
     }
 
-    /// Attach (or replace) an observer receiving [`ServeEvent`]s from the
-    /// estimate paths. Takes `&self` because serving does.
-    pub fn set_serve_observer(&self, observer: Box<dyn ServeObserver>) {
-        self.est.lock().serve.observer = Some(observer);
+    /// Attach (or replace) the sink receiving this estimator's [`Event`]s:
+    /// the train loop's (per-epoch metrics, skipped steps, rollbacks) and
+    /// the estimate paths'. Takes `&self` because serving does.
+    pub fn set_sink(&self, sink: Box<dyn Sink>) {
+        self.est.lock().serve.sink = Some(sink);
     }
 
-    /// Detach the serve observer, returning it (dropping a
-    /// [`crate::telemetry::JsonlObserver`] flushes its sink).
-    pub fn take_serve_observer(&self) -> Option<Box<dyn ServeObserver>> {
-        self.est.lock().serve.observer.take()
+    /// Detach the sink, returning it (dropping a
+    /// [`crate::telemetry::JsonlSink`] flushes it).
+    pub fn take_sink(&self) -> Option<Box<dyn Sink>> {
+        self.est.lock().serve.sink.take()
     }
 
     /// Deterministic fault injection for the online-loop drills: poison
@@ -838,15 +833,11 @@ impl Uae {
                     skipped += 1;
                     self.stats.skipped_steps += 1;
                     self.guard.bad_streak += 1;
-                    self.emit(TrainEvent::StepSkipped {
-                        epoch: epoch_idx,
-                        step: global_step,
-                        loss,
-                    });
+                    self.emit(Event::StepSkipped { epoch: epoch_idx, step: global_step, loss });
                     if tc.max_bad_steps > 0 && self.guard.bad_streak >= tc.max_bad_steps {
                         self.rollback(tc.lr_backoff);
                         rollbacks += 1;
-                        self.emit(TrainEvent::Rollback {
+                        self.emit(Event::Rollback {
                             epoch: epoch_idx,
                             step: global_step,
                             lr: self.cfg.train.lr,
@@ -877,7 +868,7 @@ impl Uae {
         self.est.lock().raw = None; // invalidate inference snapshot
         self.stats.epochs += 1;
         let mean = if executed > 0 { (total / executed as f64) as f32 } else { 0.0 };
-        self.emit(TrainEvent::Epoch(EpochMetrics {
+        self.emit(Event::Epoch(EpochMetrics {
             epoch: epoch_idx,
             steps: steps as u64,
             executed_steps: executed,
@@ -997,11 +988,9 @@ impl Uae {
         self.stats.rollbacks += 1;
     }
 
-    /// Forward an event to the attached observer, if any.
-    fn emit(&mut self, event: TrainEvent) {
-        if let Some(obs) = self.observer.get_mut().as_mut() {
-            obs.on_event(&event);
-        }
+    /// Forward a train-loop event to the attached sink, if any.
+    fn emit(&mut self, event: Event) {
+        self.est.get_mut().serve.emit(event);
     }
 
     /// Serialize the trained weights (format: `UAEW`, see
@@ -1128,18 +1117,6 @@ impl Uae {
         &self.stats
     }
 
-    /// Attach (or replace) an observer receiving [`TrainEvent`]s from the
-    /// train loop (per-epoch metrics, skipped steps, rollbacks).
-    pub fn set_observer(&mut self, observer: Box<dyn TrainObserver>) {
-        *self.observer.get_mut() = Some(observer);
-    }
-
-    /// Detach the current observer, returning it (dropping a
-    /// [`crate::telemetry::JsonlObserver`] flushes its sink).
-    pub fn take_observer(&mut self) -> Option<Box<dyn TrainObserver>> {
-        self.observer.get_mut().take()
-    }
-
     /// Estimated selectivity of a query, through the hardened cascade
     /// (validation shortcuts, retry, baseline fallback, clamping).
     /// Rejected queries degrade to `0`; use [`Uae::try_estimate_card`] for
@@ -1198,16 +1175,15 @@ impl Clone for Uae {
                 raw: None,
                 rng: StdRng::seed_from_u64(self.cfg.train.seed ^ 0xc10e),
                 batch: BatchScratch::new(),
-                // Serving counters, baseline and observer are per-run
+                // Serving counters, baseline and sink are per-run
                 // concerns too; the clone starts a fresh serving history
                 // (its fault plan, part of `cfg`, is inherited).
                 serve: ServeState::default(),
             }),
             stats: self.stats.clone(),
-            // Divergence snapshots and observers are per-run concerns; a
-            // branched refinement starts with a clean guard and no sink.
+            // Divergence snapshots are per-run concerns; a branched
+            // refinement starts with a clean guard.
             guard: DivergenceGuard::default(),
-            observer: Mutex::new(None),
         }
     }
 }

@@ -79,9 +79,7 @@ pub use serve::{
     validate_query, Estimate, EstimateError, EstimateSource, FaultPlan, ServeConfig, Validation,
 };
 pub use telemetry::{
-    EpochMetrics, FlushReason, JsonlObserver, MemoryObserver, OnlineEvent, OnlineMemoryObserver,
-    OnlineObserver, RecoveryEvent, RecoveryMemoryObserver, RecoveryObserver, ServeEvent,
-    ServeMemoryObserver, ServeObserver, ServeStats, TrainEvent, TrainObserver, TrainStats,
+    EpochMetrics, Event, FlushReason, JsonlSink, MemorySink, ServeStats, Sink, TrainStats,
 };
 pub use train::{TrainConfig, TrainQuery};
 pub use uae_tensor::QuantMode;

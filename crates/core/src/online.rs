@@ -48,7 +48,7 @@ use crate::estimator::Uae;
 use crate::persist::{
     persist_bytes, DiskFaults, Journal, JournalRecord, PersistError, JOURNAL_FILE,
 };
-use crate::telemetry::{OnlineEvent, OnlineObserver};
+use crate::telemetry::{Event, Sink};
 
 /// Lifetime counters of one [`QueryPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -511,7 +511,7 @@ pub struct OnlineTrainer {
     /// restore point after a rejected round.
     last_good: Vec<u8>,
     watch: Option<Watch>,
-    observer: Option<Box<dyn OnlineObserver>>,
+    sink: Option<Box<dyn Sink>>,
     /// Write-ahead promotion journal, opened lazily on the first durable
     /// publication (the checkpoint dir may not exist before that).
     journal: Option<Journal>,
@@ -533,7 +533,7 @@ impl OnlineTrainer {
             round: 0,
             last_good,
             watch: None,
-            observer: None,
+            sink: None,
             journal: None,
         }
     }
@@ -554,20 +554,21 @@ impl OnlineTrainer {
         self.watch.is_some()
     }
 
-    /// Attach (or replace) an observer receiving [`OnlineEvent`]s.
-    pub fn set_observer(&mut self, observer: Box<dyn OnlineObserver>) {
-        self.observer = Some(observer);
+    /// Attach (or replace) the sink receiving the loop's `online_*`
+    /// [`Event`]s.
+    pub fn set_sink(&mut self, sink: Box<dyn Sink>) {
+        self.sink = Some(sink);
     }
 
-    /// Detach the observer, returning it (dropping a
-    /// [`crate::telemetry::JsonlObserver`] flushes its sink).
-    pub fn take_observer(&mut self) -> Option<Box<dyn OnlineObserver>> {
-        self.observer.take()
+    /// Detach the sink, returning it (dropping a
+    /// [`crate::telemetry::JsonlSink`] flushes it).
+    pub fn take_sink(&mut self) -> Option<Box<dyn Sink>> {
+        self.sink.take()
     }
 
-    fn emit(&mut self, event: OnlineEvent) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_online_event(&event);
+    fn emit(&mut self, event: Event) {
+        if let Some(sink) = self.sink.as_mut() {
+            sink.emit(&event);
         }
     }
 
@@ -609,7 +610,7 @@ impl OnlineTrainer {
             let tqs = self.branch.prepare_queries(&train_set);
             self.branch.train_queries_prepared(&tqs, self.cfg.query_epochs);
         }
-        self.emit(OnlineEvent::Trained { round, t_ns: now_ns, queries: train_set.len(), rows });
+        self.emit(Event::OnlineTrained { round, t_ns: now_ns, queries: train_set.len(), rows });
 
         let mut candidate = self.branch.clone();
         if self.cfg.fault.poisons(round) {
@@ -620,7 +621,7 @@ impl OnlineTrainer {
         let cand_score = shadow_score(&candidate, &holdout);
         let live_score = shadow_score(live, &holdout);
         let decision = self.cfg.gate.decide(&cand_score, &live_score, holdout.len());
-        self.emit(OnlineEvent::Gated {
+        self.emit(Event::OnlineGated {
             round,
             t_ns: now_ns,
             evaluated: holdout.len(),
@@ -636,7 +637,7 @@ impl OnlineTrainer {
             // The round is untrusted (diverged, regressed, or unjudged):
             // rewind the branch so a bad round cannot compound.
             self.branch.load_checkpoint(&self.last_good).expect("last-good checkpoint restores");
-            self.emit(OnlineEvent::Rejected {
+            self.emit(Event::OnlineRejected {
                 round,
                 t_ns: now_ns,
                 decision: decision.label().to_owned(),
@@ -664,7 +665,7 @@ impl OnlineTrainer {
                 self.branch
                     .load_checkpoint(&self.last_good)
                     .expect("last-good checkpoint restores");
-                self.emit(OnlineEvent::PersistFailed {
+                self.emit(Event::OnlinePersistFailed {
                     round,
                     t_ns: now_ns,
                     version,
@@ -686,7 +687,7 @@ impl OnlineTrainer {
             prior_version: self.version - 1,
             pushed_mark: pool.stats().pushed,
         });
-        self.emit(OnlineEvent::Promoted {
+        self.emit(Event::OnlinePromoted {
             round,
             t_ns: now_ns,
             version: self.version,
@@ -815,7 +816,7 @@ impl OnlineTrainer {
         let checkpoint_path = match self.persist_version(self.version, &self.last_good.clone()) {
             Ok(path) => path,
             Err(error) => {
-                self.emit(OnlineEvent::PersistFailed {
+                self.emit(Event::OnlinePersistFailed {
                     round,
                     t_ns: now_ns,
                     version: self.version,
@@ -824,7 +825,7 @@ impl OnlineTrainer {
                 None
             }
         };
-        self.emit(OnlineEvent::RolledBack {
+        self.emit(Event::OnlineRolledBack {
             round,
             t_ns: now_ns,
             version: self.version,

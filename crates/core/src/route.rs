@@ -32,7 +32,7 @@ use uae_query::{
 
 use crate::estimator::Uae;
 use crate::serve::{check_columns, classify, Estimate, EstimateError, EstimateSource, Validation};
-use crate::telemetry::{ServeEvent, ServeObserver, ServeStats};
+use crate::telemetry::{Event, ServeStats, Sink};
 
 /// Thresholds of the query-shape featurizer and the calibration procedure.
 #[derive(Debug, Clone, PartialEq)]
@@ -497,8 +497,8 @@ fn argmin_median(errs: &[Vec<f64>], idxs: &[usize]) -> usize {
 /// A primary [`Uae`] plus a [`Router`] bundled behind [`CardEstimator`] —
 /// the whole fleet as one estimator, for benchmarks, evaluation and
 /// standalone serving. Keeps fleet-level [`ServeStats`] (`routed` counts
-/// here, never in `fallbacks`) and emits [`ServeEvent::Routed`] to an
-/// attached observer.
+/// here, never in `fallbacks`) and emits [`Event::Routed`] to an
+/// attached sink.
 pub struct RoutedFleet {
     name: String,
     primary: Arc<Uae>,
@@ -509,7 +509,7 @@ pub struct RoutedFleet {
 #[derive(Default)]
 struct FleetServe {
     stats: ServeStats,
-    observer: Option<Box<dyn ServeObserver>>,
+    sink: Option<Box<dyn Sink>>,
 }
 
 impl RoutedFleet {
@@ -540,15 +540,15 @@ impl RoutedFleet {
         self.serve.lock().stats.clone()
     }
 
-    /// Attach an observer receiving [`ServeEvent::Routed`] for every
-    /// query sent to a fleet backend.
-    pub fn set_serve_observer(&self, observer: Box<dyn ServeObserver>) {
-        self.serve.lock().observer = Some(observer);
+    /// Attach a sink receiving [`Event::Routed`] for every query sent to
+    /// a fleet backend.
+    pub fn set_sink(&self, sink: Box<dyn Sink>) {
+        self.serve.lock().sink = Some(sink);
     }
 
-    /// Detach the observer (dropping a JSONL observer flushes it).
-    pub fn take_serve_observer(&self) -> Option<Box<dyn ServeObserver>> {
-        self.serve.lock().observer.take()
+    /// Detach the sink (dropping a JSONL sink flushes it).
+    pub fn take_sink(&self) -> Option<Box<dyn Sink>> {
+        self.serve.lock().sink.take()
     }
 
     /// Serve a batch through the fleet: every query is routed, the
@@ -572,6 +572,7 @@ impl RoutedFleet {
         }
         let mut serve = self.serve.lock();
         for (i, d) in decisions.iter().enumerate() {
+            let index = serve.stats.served;
             serve.stats.served += 1;
             if let BackendChoice::Backend(b) = d.choice {
                 let res = self.router.estimate_routed(b, &queries[i]);
@@ -581,14 +582,14 @@ impl RoutedFleet {
                         if e.clamped {
                             serve.stats.clamped += 1;
                         }
-                        let event = ServeEvent::Routed {
-                            index: i as u64,
+                        let event = Event::Routed {
+                            index,
                             backend: self.router.backends()[b].name().to_owned(),
                             family: self.router.backends()[b].family().label(),
                             class: d.class,
                         };
-                        if let Some(obs) = serve.observer.as_mut() {
-                            obs.on_serve_event(&event);
+                        if let Some(sink) = serve.sink.as_mut() {
+                            sink.emit(&event);
                         }
                     }
                     Ok(_) => {
@@ -712,5 +713,32 @@ mod tests {
         let empty = router.estimate_routed(0, &Query::new(vec![Predicate::eq(0, 999i64)])).unwrap();
         assert_eq!(empty.source, EstimateSource::Validation);
         assert_eq!(empty.card, 0.0);
+    }
+    #[test]
+    fn routed_events_carry_the_fleet_serving_index() {
+        let t = corr_table();
+        let hist: Arc<dyn CardEstimator> = Arc::new(HistogramEstimator::new(&t, 16));
+        // Every shape is "wide" and "uncorrelated": all queries route.
+        let cfg = RouteConfig { wide_table: 1, high_corr: 2.0, ..RouteConfig::default() };
+        let router = Router::threshold(&t, vec![hist], cfg);
+        let uae = Uae::new(&t, crate::UaeConfig::default());
+        let fleet = RoutedFleet::new(Arc::new(uae), Arc::new(router));
+        let (sink, log) = crate::telemetry::MemorySink::new();
+        fleet.set_sink(Box::new(sink));
+        let batch = [Predicate::eq(0, 3i64), Predicate::le(1, 9i64), Predicate::eq(2, 1i64)]
+            .map(|p| Query::new(vec![p]));
+        for _ in 0..2 {
+            assert!(fleet.try_estimate_cards(&batch).iter().all(|r| r.is_ok()));
+        }
+        let indices: Vec<u64> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Routed { index, .. } => Some(*index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(indices, (0..6).collect::<Vec<u64>>(), "one index per served query");
     }
 }

@@ -1,10 +1,9 @@
-//! Training telemetry: typed per-epoch / per-incident events emitted by
-//! the [`crate::Uae`] train loop, an observer hook to consume them, and a
-//! JSONL sink for offline analysis (`--metrics-out` in the bench
-//! binaries). Hybrid training dominates the cost of deploying UAE
-//! (Alg. 3 runs for hours at paper scale), so the loop must be observable
-//! without attaching a debugger: every epoch reports its loss split,
-//! gradient health and divergence-guard activity.
+//! Telemetry: one [`Event`] stream for every loop — training (Alg. 3),
+//! serving, online learning (§4.5) and cold-start recovery — consumed
+//! through one [`Sink`] trait: [`MemorySink`] for tests, [`JsonlSink`] for
+//! offline analysis (`--metrics-out` in the bench binaries and drills).
+//! Hybrid training runs for hours at paper scale and serving must explain
+//! every degraded answer, so both report without a debugger attached.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -59,177 +58,6 @@ pub struct EpochMetrics {
     pub lr: f32,
     /// Wall-clock seconds spent in the epoch.
     pub wall_s: f64,
-}
-
-/// A train-loop event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TrainEvent {
-    /// An epoch finished.
-    Epoch(EpochMetrics),
-    /// A step produced a non-finite loss or gradient and was skipped
-    /// (weights untouched).
-    StepSkipped {
-        /// Global epoch index.
-        epoch: u64,
-        /// Global step cursor of the skipped step.
-        step: u64,
-        /// The offending loss value (NaN/∞, or finite when only the
-        /// gradient norm overflowed).
-        loss: f32,
-    },
-    /// Too many consecutive bad steps: weights and optimizer state were
-    /// restored from the last known-good snapshot and the learning rate
-    /// backed off.
-    Rollback {
-        /// Global epoch index.
-        epoch: u64,
-        /// Global step cursor at the rollback.
-        step: u64,
-        /// Learning rate after backoff.
-        lr: f32,
-    },
-}
-
-/// Consumer of train-loop events. Observers must be `Send` so estimators
-/// carrying one can still move across threads.
-pub trait TrainObserver: Send {
-    /// Called synchronously from the train loop for every event.
-    fn on_event(&mut self, event: &TrainEvent);
-}
-
-/// In-memory observer capturing every event — for tests and programmatic
-/// inspection. The event log is shared, so callers keep a handle while the
-/// observer itself is owned by the estimator.
-#[derive(Debug, Clone, Default)]
-pub struct MemoryObserver {
-    /// The captured events, in emission order.
-    pub events: Arc<Mutex<Vec<TrainEvent>>>,
-}
-
-impl MemoryObserver {
-    /// A fresh observer plus the shared handle to its event log.
-    pub fn new() -> (Self, Arc<Mutex<Vec<TrainEvent>>>) {
-        let obs = MemoryObserver::default();
-        let handle = Arc::clone(&obs.events);
-        (obs, handle)
-    }
-}
-
-impl TrainObserver for MemoryObserver {
-    fn on_event(&mut self, event: &TrainEvent) {
-        self.events.lock().expect("event log poisoned").push(event.clone());
-    }
-}
-
-/// JSONL sink: one JSON object per event, tagged with a model label so
-/// several estimators can share one metrics file.
-pub struct JsonlObserver {
-    label: String,
-    out: BufWriter<File>,
-}
-
-impl JsonlObserver {
-    /// Create (truncate) `path` and tag events with `label`.
-    pub fn create(path: impl AsRef<Path>, label: impl Into<String>) -> std::io::Result<Self> {
-        Ok(JsonlObserver { label: label.into(), out: BufWriter::new(File::create(path)?) })
-    }
-
-    /// Append to `path` (creating it if absent) — the bench binaries use
-    /// this so every model trained in one run lands in the same file.
-    pub fn append(path: impl AsRef<Path>, label: impl Into<String>) -> std::io::Result<Self> {
-        let f = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(JsonlObserver { label: label.into(), out: BufWriter::new(f) })
-    }
-}
-
-/// A JSON number, or `null` for non-finite values (which raw JSON cannot
-/// represent).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn json_opt_f32(x: Option<f32>) -> String {
-    match x {
-        Some(v) => json_f64(v as f64),
-        None => "null".to_owned(),
-    }
-}
-
-/// Escape a string for inclusion in a JSON document.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-impl TrainObserver for JsonlObserver {
-    fn on_event(&mut self, event: &TrainEvent) {
-        let label = json_str(&self.label);
-        let line = match event {
-            TrainEvent::Epoch(m) => format!(
-                concat!(
-                    "{{\"event\":\"epoch\",\"model\":{},\"epoch\":{},\"steps\":{},",
-                    "\"executed_steps\":{},\"skipped_steps\":{},\"clipped_steps\":{},",
-                    "\"rollbacks\":{},\"loss\":{},\"data_loss\":{},\"query_loss\":{},",
-                    "\"grad_norm\":{},\"lr\":{},\"wall_s\":{}}}"
-                ),
-                label,
-                m.epoch,
-                m.steps,
-                m.executed_steps,
-                m.skipped_steps,
-                m.clipped_steps,
-                m.rollbacks,
-                json_f64(m.loss as f64),
-                json_opt_f32(m.data_loss),
-                json_opt_f32(m.query_loss),
-                json_f64(m.grad_norm as f64),
-                json_f64(m.lr as f64),
-                json_f64(m.wall_s),
-            ),
-            TrainEvent::StepSkipped { epoch, step, loss } => format!(
-                "{{\"event\":\"step_skipped\",\"model\":{},\"epoch\":{},\"step\":{},\"loss\":{}}}",
-                label,
-                epoch,
-                step,
-                json_f64(*loss as f64),
-            ),
-            TrainEvent::Rollback { epoch, step, lr } => format!(
-                "{{\"event\":\"rollback\",\"model\":{},\"epoch\":{},\"step\":{},\"lr\":{}}}",
-                label,
-                epoch,
-                step,
-                json_f64(*lr as f64),
-            ),
-        };
-        // Telemetry must never take training down: swallow I/O errors.
-        let _ = writeln!(self.out, "{line}");
-        if matches!(event, TrainEvent::Epoch(_)) {
-            let _ = self.out.flush();
-        }
-    }
-}
-
-impl Drop for JsonlObserver {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
-    }
 }
 
 /// Cumulative serving-side counters: every validation shortcut, retry,
@@ -298,10 +126,38 @@ impl std::fmt::Display for FlushReason {
     }
 }
 
-/// A serving-path event. `index` is the query's serving index — the value
-/// of the estimator's served-query counter when the query arrived.
+/// One telemetry event. Each variant is named after the `"event"` tag of
+/// its JSONL line. Serving events carry `index`, the query's serving index
+/// — the value of the emitter's served-query counter when the query
+/// arrived. Online events carry `t_ns`, the loop's nanosecond clock
+/// supplied by the caller of [`crate::online::OnlineTrainer::round`], so
+/// tests drive it from a mock clock and replays stamp identical times.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ServeEvent {
+pub enum Event {
+    /// An epoch finished.
+    Epoch(EpochMetrics),
+    /// A step produced a non-finite loss or gradient and was skipped
+    /// (weights untouched).
+    StepSkipped {
+        /// Global epoch index.
+        epoch: u64,
+        /// Global step cursor of the skipped step.
+        step: u64,
+        /// The offending loss value (NaN/∞, or finite when only the
+        /// gradient norm overflowed).
+        loss: f32,
+    },
+    /// Too many consecutive bad steps: weights and optimizer state were
+    /// restored from the last known-good snapshot and the learning rate
+    /// backed off.
+    Rollback {
+        /// Global epoch index.
+        epoch: u64,
+        /// Global step cursor at the rollback.
+        step: u64,
+        /// Learning rate after backoff.
+        lr: f32,
+    },
     /// A query was rejected before any model work.
     QueryRejected {
         /// Serving index of the rejected query.
@@ -395,130 +251,9 @@ pub enum ServeEvent {
         /// Milliseconds the executor spent on the batch containing it.
         execute_ms: f64,
     },
-}
-
-/// Consumer of serving-path events; `Send` for the same reason as
-/// [`TrainObserver`].
-pub trait ServeObserver: Send {
-    /// Called synchronously from the estimate path for every event.
-    fn on_serve_event(&mut self, event: &ServeEvent);
-}
-
-/// In-memory serve observer — the serving analogue of [`MemoryObserver`].
-#[derive(Debug, Clone, Default)]
-pub struct ServeMemoryObserver {
-    /// The captured events, in emission order.
-    pub events: Arc<Mutex<Vec<ServeEvent>>>,
-}
-
-impl ServeMemoryObserver {
-    /// A fresh observer plus the shared handle to its event log.
-    pub fn new() -> (Self, Arc<Mutex<Vec<ServeEvent>>>) {
-        let obs = ServeMemoryObserver::default();
-        let handle = Arc::clone(&obs.events);
-        (obs, handle)
-    }
-}
-
-impl ServeObserver for ServeMemoryObserver {
-    fn on_serve_event(&mut self, event: &ServeEvent) {
-        self.events.lock().expect("event log poisoned").push(event.clone());
-    }
-}
-
-impl ServeObserver for JsonlObserver {
-    fn on_serve_event(&mut self, event: &ServeEvent) {
-        let label = json_str(&self.label);
-        let line = match event {
-            ServeEvent::QueryRejected { index, error } => format!(
-                "{{\"event\":\"query_rejected\",\"model\":{},\"query\":{},\"error\":{}}}",
-                label,
-                index,
-                json_str(error),
-            ),
-            ServeEvent::ValidationShortcut { index, empty } => format!(
-                "{{\"event\":\"validation_shortcut\",\"model\":{label},\"query\":{index},\
-                 \"empty\":{empty}}}"
-            ),
-            ServeEvent::Retry { index, value } => format!(
-                "{{\"event\":\"retry\",\"model\":{},\"query\":{},\"value\":{}}}",
-                label,
-                index,
-                json_f64(*value),
-            ),
-            ServeEvent::PanicIsolated { index } => {
-                let idx = index.map_or("null".to_owned(), |i| i.to_string());
-                format!("{{\"event\":\"panic_isolated\",\"model\":{label},\"query\":{idx}}}")
-            }
-            ServeEvent::Fallback { index, value } => format!(
-                "{{\"event\":\"fallback\",\"model\":{},\"query\":{},\"value\":{}}}",
-                label,
-                index,
-                json_f64(*value),
-            ),
-            ServeEvent::Clamped { index, raw } => format!(
-                "{{\"event\":\"clamped\",\"model\":{},\"query\":{},\"raw\":{}}}",
-                label,
-                index,
-                json_f64(*raw),
-            ),
-            ServeEvent::Degraded { index, samples, configured } => format!(
-                "{{\"event\":\"degraded\",\"model\":{label},\"query\":{index},\
-                 \"samples\":{samples},\"configured\":{configured}}}"
-            ),
-            ServeEvent::BatchFlushed { batch, tenant, size, reason, queue_depth } => format!(
-                "{{\"event\":\"batch_flushed\",\"model\":{},\"batch\":{},\"tenant\":{},\
-                 \"size\":{},\"reason\":{},\"queue_depth\":{}}}",
-                label,
-                batch,
-                json_str(tenant),
-                size,
-                json_str(reason.label()),
-                queue_depth,
-            ),
-            ServeEvent::Routed { index, backend, family, class } => format!(
-                "{{\"event\":\"routed\",\"model\":{},\"query\":{},\"backend\":{},\
-                 \"family\":{},\"class\":{}}}",
-                label,
-                index,
-                json_str(backend),
-                json_str(family),
-                class,
-            ),
-            ServeEvent::RequestServed { index, tenant, queue_ms, execute_ms } => format!(
-                "{{\"event\":\"request_served\",\"model\":{},\"request\":{},\"tenant\":{},\
-                 \"queue_ms\":{},\"execute_ms\":{}}}",
-                label,
-                index,
-                json_str(tenant),
-                json_f64(*queue_ms),
-                json_f64(*execute_ms),
-            ),
-        };
-        // Telemetry must never take serving down: swallow I/O errors.
-        let _ = writeln!(self.out, "{line}");
-        // Degradation events are rare; flush each so a crashing process
-        // still leaves the evidence on disk. The per-request/per-batch
-        // front-end events are high-rate and stay buffered.
-        if !matches!(
-            event,
-            ServeEvent::RequestServed { .. }
-                | ServeEvent::BatchFlushed { .. }
-                | ServeEvent::Routed { .. }
-        ) {
-            let _ = self.out.flush();
-        }
-    }
-}
-
-/// An online-learning-loop event (see [`crate::online`]). `t_ns` is the
-/// loop's nanosecond clock — supplied by the caller of
-/// [`crate::online::OnlineTrainer::round`], so tests drive it from a mock
-/// clock and replays stamp identical times.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OnlineEvent {
-    /// A training round ran incremental epochs on the private branch.
-    Trained {
+    /// An online training round ran incremental epochs on the private
+    /// branch.
+    OnlineTrained {
         /// Round counter.
         round: u64,
         /// Loop clock at the round.
@@ -529,7 +264,7 @@ pub enum OnlineEvent {
         rows: usize,
     },
     /// The shadow gate scored a candidate against the live model.
-    Gated {
+    OnlineGated {
         /// Round counter.
         round: u64,
         /// Loop clock at the round.
@@ -551,7 +286,7 @@ pub enum OnlineEvent {
         decision: String,
     },
     /// The gate passed: a new model version is ready to swap in.
-    Promoted {
+    OnlinePromoted {
         /// Round counter.
         round: u64,
         /// Loop clock at the round.
@@ -563,7 +298,7 @@ pub enum OnlineEvent {
     },
     /// The gate failed: the candidate was discarded and the branch
     /// restored to its last promoted state.
-    Rejected {
+    OnlineRejected {
         /// Round counter.
         round: u64,
         /// Loop clock at the round.
@@ -573,7 +308,7 @@ pub enum OnlineEvent {
     },
     /// Post-promotion regression: the previously live version was
     /// republished.
-    RolledBack {
+    OnlineRolledBack {
         /// Round counter.
         round: u64,
         /// Loop clock at the round.
@@ -587,7 +322,7 @@ pub enum OnlineEvent {
     /// checkpoint → commit) failed, so the promotion was withheld: a
     /// version the journal cannot prove committed would silently vanish
     /// on recovery.
-    PersistFailed {
+    OnlinePersistFailed {
         /// Round counter.
         round: u64,
         /// Loop clock at the round.
@@ -597,117 +332,14 @@ pub enum OnlineEvent {
         /// Rendered [`crate::persist::PersistError`].
         error: String,
     },
-}
-
-/// Consumer of online-loop events; `Send` for the same reason as
-/// [`TrainObserver`].
-pub trait OnlineObserver: Send {
-    /// Called synchronously from the trainer loop for every event.
-    fn on_online_event(&mut self, event: &OnlineEvent);
-}
-
-/// In-memory online observer — the online analogue of [`MemoryObserver`].
-#[derive(Debug, Clone, Default)]
-pub struct OnlineMemoryObserver {
-    /// The captured events, in emission order.
-    pub events: Arc<Mutex<Vec<OnlineEvent>>>,
-}
-
-impl OnlineMemoryObserver {
-    /// A fresh observer plus the shared handle to its event log.
-    pub fn new() -> (Self, Arc<Mutex<Vec<OnlineEvent>>>) {
-        let obs = OnlineMemoryObserver::default();
-        let handle = Arc::clone(&obs.events);
-        (obs, handle)
-    }
-}
-
-impl OnlineObserver for OnlineMemoryObserver {
-    fn on_online_event(&mut self, event: &OnlineEvent) {
-        self.events.lock().expect("event log poisoned").push(event.clone());
-    }
-}
-
-impl OnlineObserver for JsonlObserver {
-    fn on_online_event(&mut self, event: &OnlineEvent) {
-        let label = json_str(&self.label);
-        let line = match event {
-            OnlineEvent::Trained { round, t_ns, queries, rows } => format!(
-                "{{\"event\":\"online_trained\",\"model\":{label},\"round\":{round},\
-                 \"t_ns\":{t_ns},\"queries\":{queries},\"rows\":{rows}}}"
-            ),
-            OnlineEvent::Gated {
-                round,
-                t_ns,
-                evaluated,
-                candidate_median,
-                candidate_p95,
-                candidate_fallbacks,
-                live_median,
-                live_p95,
-                decision,
-            } => format!(
-                "{{\"event\":\"online_gated\",\"model\":{},\"round\":{},\"t_ns\":{},\
-                 \"evaluated\":{},\"candidate_median\":{},\"candidate_p95\":{},\
-                 \"candidate_fallbacks\":{},\"live_median\":{},\"live_p95\":{},\
-                 \"decision\":{}}}",
-                label,
-                round,
-                t_ns,
-                evaluated,
-                json_f64(*candidate_median),
-                json_f64(*candidate_p95),
-                candidate_fallbacks,
-                json_f64(*live_median),
-                json_f64(*live_p95),
-                json_str(decision),
-            ),
-            OnlineEvent::Promoted { round, t_ns, version, checkpoint_bytes } => format!(
-                "{{\"event\":\"online_promoted\",\"model\":{label},\"round\":{round},\
-                 \"t_ns\":{t_ns},\"version\":{version},\"checkpoint_bytes\":{checkpoint_bytes}}}"
-            ),
-            OnlineEvent::Rejected { round, t_ns, decision } => format!(
-                "{{\"event\":\"online_rejected\",\"model\":{},\"round\":{},\"t_ns\":{},\
-                 \"decision\":{}}}",
-                label,
-                round,
-                t_ns,
-                json_str(decision),
-            ),
-            OnlineEvent::RolledBack { round, t_ns, version, restored_version } => format!(
-                "{{\"event\":\"online_rolled_back\",\"model\":{label},\"round\":{round},\
-                 \"t_ns\":{t_ns},\"version\":{version},\"restored_version\":{restored_version}}}"
-            ),
-            OnlineEvent::PersistFailed { round, t_ns, version, error } => format!(
-                "{{\"event\":\"online_persist_failed\",\"model\":{},\"round\":{},\"t_ns\":{},\
-                 \"version\":{},\"error\":{}}}",
-                label,
-                round,
-                t_ns,
-                version,
-                json_str(error),
-            ),
-        };
-        // Telemetry must never take the trainer down: swallow I/O errors.
-        let _ = writeln!(self.out, "{line}");
-        // Promotion decisions are rare and load-bearing; keep them on
-        // disk even if the process dies mid-drill.
-        let _ = self.out.flush();
-    }
-}
-
-/// A cold-start recovery event (see the `uae-server` recovery module).
-/// Wall-clock durations are measured by the recovery driver; everything
-/// else is deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecoveryEvent {
-    /// Recovery began scanning a state directory.
-    Started {
+    /// Cold-start recovery (the `uae-server` recovery module) began
+    /// scanning a state directory.
+    RecoveryStarted {
         /// The state directory being recovered.
         dir: String,
     },
     /// A corrupt or untrusted artifact was renamed aside (never deleted).
-    Quarantined {
+    RecoveryQuarantined {
         /// The quarantined file's *new* path.
         path: String,
         /// Why it was distrusted (torn journal tail, checksum mismatch,
@@ -715,7 +347,7 @@ pub enum RecoveryEvent {
         reason: String,
     },
     /// One tenant's last provably-good version was republished.
-    TenantRecovered {
+    RecoveryTenant {
         /// The tenant.
         tenant: String,
         /// The version restored.
@@ -727,82 +359,294 @@ pub enum RecoveryEvent {
         quarantined: usize,
     },
     /// Recovery finished and the manifest was rewritten.
-    Finished {
+    RecoveryFinished {
         /// Tenants republished.
         tenants: usize,
         /// Total artifacts quarantined.
         quarantined: usize,
         /// Whether the journal had a torn tail.
         journal_torn: bool,
-        /// Wall-clock recovery time (the unavailability window).
+        /// Wall-clock recovery time (the unavailability window), measured
+        /// by the recovery driver.
         ms: f64,
     },
 }
 
-/// Consumer of recovery events; `Send` for the same reason as
-/// [`TrainObserver`].
-pub trait RecoveryObserver: Send {
-    /// Called synchronously from the recovery driver for every event.
-    fn on_recovery_event(&mut self, event: &RecoveryEvent);
+/// A JSON value in a rendered event line.
+enum Value<'a> {
+    Int(u64),
+    /// Rendered as `null` when non-finite (raw JSON has no NaN or ∞).
+    Float(f64),
+    Str(&'a str),
+    Bool(bool),
+    Null,
 }
 
-/// In-memory recovery observer — the recovery analogue of
-/// [`MemoryObserver`].
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryMemoryObserver {
-    /// The captured events, in emission order.
-    pub events: Arc<Mutex<Vec<RecoveryEvent>>>,
-}
+impl Event {
+    /// The `"event"` tag of the event's JSONL line: its variant name in
+    /// snake_case.
+    fn kind(&self) -> &'static str {
+        match self {
+            Event::Epoch(_) => "epoch",
+            Event::StepSkipped { .. } => "step_skipped",
+            Event::Rollback { .. } => "rollback",
+            Event::QueryRejected { .. } => "query_rejected",
+            Event::ValidationShortcut { .. } => "validation_shortcut",
+            Event::Retry { .. } => "retry",
+            Event::PanicIsolated { .. } => "panic_isolated",
+            Event::Fallback { .. } => "fallback",
+            Event::Clamped { .. } => "clamped",
+            Event::Degraded { .. } => "degraded",
+            Event::BatchFlushed { .. } => "batch_flushed",
+            Event::Routed { .. } => "routed",
+            Event::RequestServed { .. } => "request_served",
+            Event::OnlineTrained { .. } => "online_trained",
+            Event::OnlineGated { .. } => "online_gated",
+            Event::OnlinePromoted { .. } => "online_promoted",
+            Event::OnlineRejected { .. } => "online_rejected",
+            Event::OnlineRolledBack { .. } => "online_rolled_back",
+            Event::OnlinePersistFailed { .. } => "online_persist_failed",
+            Event::RecoveryStarted { .. } => "recovery_started",
+            Event::RecoveryQuarantined { .. } => "recovery_quarantined",
+            Event::RecoveryTenant { .. } => "recovery_tenant",
+            Event::RecoveryFinished { .. } => "recovery_finished",
+        }
+    }
 
-impl RecoveryMemoryObserver {
-    /// A fresh observer plus the shared handle to its event log.
-    pub fn new() -> (Self, Arc<Mutex<Vec<RecoveryEvent>>>) {
-        let obs = RecoveryMemoryObserver::default();
-        let handle = Arc::clone(&obs.events);
-        (obs, handle)
+    /// The event's fields in line order, after the leading `"event"` and
+    /// `"model"` keys. `f32` fields widen to `f64`.
+    fn fields(&self) -> Vec<(&'static str, Value<'_>)> {
+        use Value::{Bool, Float, Int, Null, Str};
+        let n = |x: usize| Int(x as u64);
+        match self {
+            Event::Epoch(m) => vec![
+                ("epoch", Int(m.epoch)),
+                ("steps", Int(m.steps)),
+                ("executed_steps", Int(m.executed_steps)),
+                ("skipped_steps", Int(m.skipped_steps)),
+                ("clipped_steps", Int(m.clipped_steps)),
+                ("rollbacks", Int(m.rollbacks)),
+                ("loss", Float(m.loss as f64)),
+                ("data_loss", m.data_loss.map_or(Null, |x| Float(x as f64))),
+                ("query_loss", m.query_loss.map_or(Null, |x| Float(x as f64))),
+                ("grad_norm", Float(m.grad_norm as f64)),
+                ("lr", Float(m.lr as f64)),
+                ("wall_s", Float(m.wall_s)),
+            ],
+            Event::StepSkipped { epoch, step, loss } => {
+                vec![("epoch", Int(*epoch)), ("step", Int(*step)), ("loss", Float(*loss as f64))]
+            }
+            Event::Rollback { epoch, step, lr } => {
+                vec![("epoch", Int(*epoch)), ("step", Int(*step)), ("lr", Float(*lr as f64))]
+            }
+            Event::QueryRejected { index, error } => {
+                vec![("query", Int(*index)), ("error", Str(error))]
+            }
+            Event::ValidationShortcut { index, empty } => {
+                vec![("query", Int(*index)), ("empty", Bool(*empty))]
+            }
+            Event::Retry { index, value } => vec![("query", Int(*index)), ("value", Float(*value))],
+            Event::PanicIsolated { index } => vec![("query", index.map_or(Null, Int))],
+            Event::Fallback { index, value } => {
+                vec![("query", Int(*index)), ("value", Float(*value))]
+            }
+            Event::Clamped { index, raw } => vec![("query", Int(*index)), ("raw", Float(*raw))],
+            Event::Degraded { index, samples, configured } => vec![
+                ("query", Int(*index)),
+                ("samples", n(*samples)),
+                ("configured", n(*configured)),
+            ],
+            Event::BatchFlushed { batch, tenant, size, reason, queue_depth } => vec![
+                ("batch", Int(*batch)),
+                ("tenant", Str(tenant)),
+                ("size", n(*size)),
+                ("reason", Str(reason.label())),
+                ("queue_depth", n(*queue_depth)),
+            ],
+            Event::Routed { index, backend, family, class } => vec![
+                ("query", Int(*index)),
+                ("backend", Str(backend)),
+                ("family", Str(family)),
+                ("class", Int(u64::from(*class))),
+            ],
+            Event::RequestServed { index, tenant, queue_ms, execute_ms } => vec![
+                ("request", Int(*index)),
+                ("tenant", Str(tenant)),
+                ("queue_ms", Float(*queue_ms)),
+                ("execute_ms", Float(*execute_ms)),
+            ],
+            Event::OnlineTrained { round, t_ns, queries, rows } => vec![
+                ("round", Int(*round)),
+                ("t_ns", Int(*t_ns)),
+                ("queries", n(*queries)),
+                ("rows", n(*rows)),
+            ],
+            Event::OnlineGated {
+                round,
+                t_ns,
+                evaluated,
+                candidate_median,
+                candidate_p95,
+                candidate_fallbacks,
+                live_median,
+                live_p95,
+                decision,
+            } => vec![
+                ("round", Int(*round)),
+                ("t_ns", Int(*t_ns)),
+                ("evaluated", n(*evaluated)),
+                ("candidate_median", Float(*candidate_median)),
+                ("candidate_p95", Float(*candidate_p95)),
+                ("candidate_fallbacks", Int(*candidate_fallbacks)),
+                ("live_median", Float(*live_median)),
+                ("live_p95", Float(*live_p95)),
+                ("decision", Str(decision)),
+            ],
+            Event::OnlinePromoted { round, t_ns, version, checkpoint_bytes } => vec![
+                ("round", Int(*round)),
+                ("t_ns", Int(*t_ns)),
+                ("version", Int(*version)),
+                ("checkpoint_bytes", n(*checkpoint_bytes)),
+            ],
+            Event::OnlineRejected { round, t_ns, decision } => {
+                vec![("round", Int(*round)), ("t_ns", Int(*t_ns)), ("decision", Str(decision))]
+            }
+            Event::OnlineRolledBack { round, t_ns, version, restored_version } => vec![
+                ("round", Int(*round)),
+                ("t_ns", Int(*t_ns)),
+                ("version", Int(*version)),
+                ("restored_version", Int(*restored_version)),
+            ],
+            Event::OnlinePersistFailed { round, t_ns, version, error } => vec![
+                ("round", Int(*round)),
+                ("t_ns", Int(*t_ns)),
+                ("version", Int(*version)),
+                ("error", Str(error)),
+            ],
+            Event::RecoveryStarted { dir } => vec![("dir", Str(dir))],
+            Event::RecoveryQuarantined { path, reason } => {
+                vec![("path", Str(path)), ("reason", Str(reason))]
+            }
+            Event::RecoveryTenant { tenant, version, source, quarantined } => vec![
+                ("tenant", Str(tenant)),
+                ("version", Int(*version)),
+                ("source", Str(source)),
+                ("quarantined", n(*quarantined)),
+            ],
+            Event::RecoveryFinished { tenants, quarantined, journal_torn, ms } => vec![
+                ("tenants", n(*tenants)),
+                ("quarantined", n(*quarantined)),
+                ("journal_torn", Bool(*journal_torn)),
+                ("recover_ms", Float(*ms)),
+            ],
+        }
     }
 }
 
-impl RecoveryObserver for RecoveryMemoryObserver {
-    fn on_recovery_event(&mut self, event: &RecoveryEvent) {
+/// Consumer of [`Event`]s. Sinks must be `Send` so emitters carrying one
+/// (estimators, trainers, servers) can still move across threads.
+pub trait Sink: Send {
+    /// Called synchronously by the emitter for every event.
+    fn emit(&mut self, event: &Event);
+}
+
+/// In-memory sink capturing every event — for tests and programmatic
+/// inspection. The event log is shared, so callers keep a handle while the
+/// sink itself is owned by the emitter.
+#[derive(Debug, Clone, Default)]
+pub struct MemorySink {
+    /// The captured events, in emission order.
+    pub events: Arc<Mutex<Vec<Event>>>,
+}
+
+impl MemorySink {
+    /// A fresh sink plus the shared handle to its event log.
+    pub fn new() -> (Self, Arc<Mutex<Vec<Event>>>) {
+        let sink = MemorySink::default();
+        let handle = Arc::clone(&sink.events);
+        (sink, handle)
+    }
+}
+
+impl Sink for MemorySink {
+    fn emit(&mut self, event: &Event) {
         self.events.lock().expect("event log poisoned").push(event.clone());
     }
 }
 
-impl RecoveryObserver for JsonlObserver {
-    fn on_recovery_event(&mut self, event: &RecoveryEvent) {
-        let label = json_str(&self.label);
-        let line = match event {
-            RecoveryEvent::Started { dir } => format!(
-                "{{\"event\":\"recovery_started\",\"model\":{},\"dir\":{}}}",
-                label,
-                json_str(dir),
-            ),
-            RecoveryEvent::Quarantined { path, reason } => format!(
-                "{{\"event\":\"recovery_quarantined\",\"model\":{},\"path\":{},\"reason\":{}}}",
-                label,
-                json_str(path),
-                json_str(reason),
-            ),
-            RecoveryEvent::TenantRecovered { tenant, version, source, quarantined } => format!(
-                "{{\"event\":\"recovery_tenant\",\"model\":{},\"tenant\":{},\"version\":{},\
-                 \"source\":{},\"quarantined\":{}}}",
-                label,
-                json_str(tenant),
-                version,
-                json_str(source),
-                quarantined,
-            ),
-            RecoveryEvent::Finished { tenants, quarantined, journal_torn, ms } => format!(
-                "{{\"event\":\"recovery_finished\",\"model\":{label},\"tenants\":{tenants},\
-                 \"quarantined\":{quarantined},\"journal_torn\":{journal_torn},\
-                 \"recover_ms\":{}}}",
-                json_f64(*ms),
-            ),
-        };
-        // Recovery telemetry is the drill's artifact: flush every line so
-        // a crash directly after recovery still leaves the record.
-        let _ = writeln!(self.out, "{line}");
+/// JSONL sink: one JSON object per event, tagged with a model label so
+/// several emitters can share one metrics file.
+pub struct JsonlSink {
+    label: String,
+    out: BufWriter<File>,
+}
+
+impl JsonlSink {
+    /// Create (truncate) `path` and tag events with `label`.
+    pub fn create(path: impl AsRef<Path>, label: impl Into<String>) -> std::io::Result<Self> {
+        Ok(JsonlSink { label: label.into(), out: BufWriter::new(File::create(path)?) })
+    }
+
+    /// Append to `path` (creating it if absent) — the bench binaries use
+    /// this so every model trained in one run lands in the same file.
+    pub fn append(path: impl AsRef<Path>, label: impl Into<String>) -> std::io::Result<Self> {
+        let f = OpenOptions::new().create(true).append(true).open(path)?;
+        Ok(JsonlSink { label: label.into(), out: BufWriter::new(f) })
+    }
+}
+
+/// Append `s` to `line` as a JSON string literal.
+fn push_json_str(line: &mut String, s: &str) {
+    line.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => line.push_str("\\\""),
+            '\\' => line.push_str("\\\\"),
+            '\n' => line.push_str("\\n"),
+            '\r' => line.push_str("\\r"),
+            '\t' => line.push_str("\\t"),
+            c if (c as u32) < 0x20 => line.push_str(&format!("\\u{:04x}", c as u32)),
+            c => line.push(c),
+        }
+    }
+    line.push('"');
+}
+
+/// One event as one JSON object: `"event"`, `"model"`, then its fields.
+fn render(label: &str, event: &Event) -> String {
+    let mut line = format!("{{\"event\":\"{}\",\"model\":", event.kind());
+    push_json_str(&mut line, label);
+    for (key, value) in event.fields() {
+        line.push_str(&format!(",\"{key}\":"));
+        match value {
+            Value::Int(x) => line.push_str(&x.to_string()),
+            Value::Float(x) if x.is_finite() => line.push_str(&x.to_string()),
+            Value::Float(_) | Value::Null => line.push_str("null"),
+            Value::Bool(b) => line.push_str(&b.to_string()),
+            Value::Str(s) => push_json_str(&mut line, s),
+        }
+    }
+    line.push('}');
+    line
+}
+
+impl Sink for JsonlSink {
+    fn emit(&mut self, event: &Event) {
+        // Telemetry must never take its emitter down: swallow I/O errors.
+        let _ = writeln!(self.out, "{}", render(&self.label, event));
+        // Every event but the high-rate front-end ones is rare and worth
+        // keeping on disk even if the process dies mid-run, so flush it.
+        if !matches!(
+            event,
+            Event::RequestServed { .. } | Event::BatchFlushed { .. } | Event::Routed { .. }
+        ) {
+            let _ = self.out.flush();
+        }
+    }
+}
+
+impl Drop for JsonlSink {
+    fn drop(&mut self) {
         let _ = self.out.flush();
     }
 }
@@ -811,62 +655,159 @@ impl RecoveryObserver for JsonlObserver {
 mod tests {
     use super::*;
 
-    #[test]
-    fn jsonl_lines_are_valid_shape() {
+    fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("uae_telemetry_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.jsonl");
-        {
-            let mut obs = JsonlObserver::create(&path, "te\"st").unwrap();
-            obs.on_event(&TrainEvent::Epoch(EpochMetrics {
-                epoch: 0,
-                steps: 4,
-                executed_steps: 3,
-                skipped_steps: 1,
-                clipped_steps: 2,
-                rollbacks: 0,
+        dir.join(name)
+    }
+
+    /// One line per variant (and both `PanicIsolated` shapes), as the four
+    /// per-stream renderers this one replaced wrote them, byte for byte:
+    /// key order, escaping, `null` for non-finite floats and the
+    /// `f32 → f64` widening.
+    const GOLDEN: &str = r#"{"event":"epoch","model":"m","epoch":3,"steps":40,"executed_steps":37,"skipped_steps":2,"clipped_steps":5,"rollbacks":1,"loss":1.5,"data_loss":0.10000000149011612,"query_loss":null,"grad_norm":null,"lr":0.0020000000949949026,"wall_s":0.25}
+{"event":"step_skipped","model":"m","epoch":1,"step":17,"loss":null}
+{"event":"rollback","model":"m","epoch":2,"step":99,"lr":0.0010000000474974513}
+{"event":"query_rejected","model":"m","query":0,"error":"unknown column \"9\"\\\r\n\t\u0001é"}
+{"event":"validation_shortcut","model":"m","query":1,"empty":true}
+{"event":"retry","model":"m","query":2,"value":null}
+{"event":"panic_isolated","model":"m","query":null}
+{"event":"panic_isolated","model":"m","query":3}
+{"event":"fallback","model":"m","query":4,"value":null}
+{"event":"clamped","model":"m","query":5,"raw":1.25}
+{"event":"degraded","model":"m","query":6,"samples":50,"configured":1000}
+{"event":"batch_flushed","model":"m","batch":7,"tenant":"census","size":16,"reason":"deadline","queue_depth":3}
+{"event":"routed","model":"m","query":8,"backend":"DeepDB","family":"spn","class":12}
+{"event":"request_served","model":"m","request":9,"tenant":"dmv","queue_ms":0.1,"execute_ms":2}
+{"event":"online_trained","model":"m","round":1,"t_ns":1000,"queries":64,"rows":0}
+{"event":"online_gated","model":"m","round":1,"t_ns":2000,"evaluated":32,"candidate_median":1.5,"candidate_p95":null,"candidate_fallbacks":0,"live_median":2,"live_p95":7.25,"decision":"promote"}
+{"event":"online_promoted","model":"m","round":1,"t_ns":3000,"version":2,"checkpoint_bytes":4096}
+{"event":"online_rejected","model":"m","round":2,"t_ns":4000,"decision":"worse"}
+{"event":"online_rolled_back","model":"m","round":3,"t_ns":5000,"version":4,"restored_version":1}
+{"event":"online_persist_failed","model":"m","round":4,"t_ns":6000,"version":5,"error":"disk full"}
+{"event":"recovery_started","model":"m","dir":"/tmp/state dir"}
+{"event":"recovery_quarantined","model":"m","path":"a/b.quarantined","reason":"checksum mismatch"}
+{"event":"recovery_tenant","model":"m","tenant":"census","version":3,"source":"journal","quarantined":1}
+{"event":"recovery_finished","model":"m","tenants":2,"quarantined":1,"journal_torn":false,"recover_ms":12.5}
+"#;
+
+    #[test]
+    fn jsonl_lines_are_valid_shape() {
+        let s = |x: &str| x.to_owned();
+        let events = [
+            Event::Epoch(EpochMetrics {
+                epoch: 3,
+                steps: 40,
+                executed_steps: 37,
+                skipped_steps: 2,
+                clipped_steps: 5,
+                rollbacks: 1,
                 loss: 1.5,
-                data_loss: Some(1.25),
+                data_loss: Some(0.1),
                 query_loss: None,
-                grad_norm: 2.0,
+                grad_norm: f32::INFINITY,
                 lr: 2e-3,
-                wall_s: 0.5,
-            }));
-            obs.on_event(&TrainEvent::StepSkipped { epoch: 0, step: 2, loss: f32::NAN });
-            obs.on_event(&TrainEvent::Rollback { epoch: 0, step: 3, lr: 1e-3 });
+                wall_s: 0.25,
+            }),
+            Event::StepSkipped { epoch: 1, step: 17, loss: f32::NAN },
+            Event::Rollback { epoch: 2, step: 99, lr: 1e-3 },
+            Event::QueryRejected { index: 0, error: s("unknown column \"9\"\\\r\n\t\u{1}é") },
+            Event::ValidationShortcut { index: 1, empty: true },
+            Event::Retry { index: 2, value: f64::NAN },
+            Event::PanicIsolated { index: None },
+            Event::PanicIsolated { index: Some(3) },
+            Event::Fallback { index: 4, value: f64::NEG_INFINITY },
+            Event::Clamped { index: 5, raw: 1.25 },
+            Event::Degraded { index: 6, samples: 50, configured: 1000 },
+            Event::BatchFlushed {
+                batch: 7,
+                tenant: s("census"),
+                size: 16,
+                reason: FlushReason::Deadline,
+                queue_depth: 3,
+            },
+            Event::Routed { index: 8, backend: s("DeepDB"), family: "spn", class: 12 },
+            Event::RequestServed { index: 9, tenant: s("dmv"), queue_ms: 0.1, execute_ms: 2.0 },
+            Event::OnlineTrained { round: 1, t_ns: 1_000, queries: 64, rows: 0 },
+            Event::OnlineGated {
+                round: 1,
+                t_ns: 2_000,
+                evaluated: 32,
+                candidate_median: 1.5,
+                candidate_p95: f64::NAN,
+                candidate_fallbacks: 0,
+                live_median: 2.0,
+                live_p95: 7.25,
+                decision: s("promote"),
+            },
+            Event::OnlinePromoted { round: 1, t_ns: 3_000, version: 2, checkpoint_bytes: 4096 },
+            Event::OnlineRejected { round: 2, t_ns: 4_000, decision: s("worse") },
+            Event::OnlineRolledBack { round: 3, t_ns: 5_000, version: 4, restored_version: 1 },
+            Event::OnlinePersistFailed { round: 4, t_ns: 6_000, version: 5, error: s("disk full") },
+            Event::RecoveryStarted { dir: s("/tmp/state dir") },
+            Event::RecoveryQuarantined {
+                path: s("a/b.quarantined"),
+                reason: s("checksum mismatch"),
+            },
+            Event::RecoveryTenant {
+                tenant: s("census"),
+                version: 3,
+                source: s("journal"),
+                quarantined: 1,
+            },
+            Event::RecoveryFinished { tenants: 2, quarantined: 1, journal_torn: false, ms: 12.5 },
+        ];
+        let path = temp_path("golden.jsonl");
+        {
+            let mut sink = JsonlSink::create(&path, "m").unwrap();
+            events.iter().for_each(|e| sink.emit(e));
         }
         let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"event\":\"epoch\"") && lines[0].contains("\"loss\":1.5"));
-        assert!(lines[0].contains("\"query_loss\":null"));
-        assert!(lines[0].contains("\"model\":\"te\\\"st\""));
-        // Non-finite floats serialize as null, keeping the line valid JSON.
-        assert!(lines[1].contains("\"loss\":null"));
-        assert!(lines[2].contains("\"event\":\"rollback\"") && lines[2].contains("\"lr\":0.001"));
-        for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'));
+        for ((line, want), event) in text.lines().zip(GOLDEN.lines()).zip(&events) {
+            assert_eq!(line, want, "{event:?}");
         }
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(text, GOLDEN, "one line per event, nothing else");
+        // The label is escaped like every other string.
+        assert_eq!(
+            render("te\"st", &Event::PanicIsolated { index: None }),
+            r#"{"event":"panic_isolated","model":"te\"st","query":null}"#
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
+    fn jsonl_sink_buffers_only_high_rate_front_end_events() {
+        let path = temp_path("flush.jsonl");
+        let mut sink = JsonlSink::create(&path, "m").unwrap();
+        let lines = || std::fs::read_to_string(&path).unwrap().lines().count();
+        sink.emit(&Event::Routed { index: 0, backend: "b".into(), family: "spn", class: 1 });
+        sink.emit(&Event::RequestServed {
+            index: 0,
+            tenant: "t".into(),
+            queue_ms: 0.0,
+            execute_ms: 0.0,
+        });
+        assert_eq!(lines(), 0, "high-rate events stay buffered");
+        sink.emit(&Event::Rollback { epoch: 0, step: 1, lr: 1e-3 });
+        assert_eq!(lines(), 3, "any other event flushes everything before it");
+        drop(sink);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The serving events land in a shared metrics file as valid JSON
+    /// objects, one per line, with non-finite values written as `null`.
+    #[test]
     fn serve_jsonl_lines_are_valid_shape() {
-        let dir = std::env::temp_dir().join(format!("uae_serve_telemetry_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s.jsonl");
+        let path = temp_path("serve.jsonl");
         {
-            let mut obs = JsonlObserver::create(&path, "serve").unwrap();
-            obs.on_serve_event(&ServeEvent::QueryRejected {
-                index: 0,
-                error: "unknown column 9".into(),
-            });
-            obs.on_serve_event(&ServeEvent::ValidationShortcut { index: 1, empty: true });
-            obs.on_serve_event(&ServeEvent::Retry { index: 2, value: f64::NAN });
-            obs.on_serve_event(&ServeEvent::PanicIsolated { index: None });
-            obs.on_serve_event(&ServeEvent::PanicIsolated { index: Some(3) });
-            obs.on_serve_event(&ServeEvent::Fallback { index: 2, value: 0.0 });
-            obs.on_serve_event(&ServeEvent::Clamped { index: 4, raw: 1.25 });
+            let mut sink = JsonlSink::create(&path, "serve").unwrap();
+            sink.emit(&Event::QueryRejected { index: 0, error: "unknown column 9".into() });
+            sink.emit(&Event::ValidationShortcut { index: 1, empty: true });
+            sink.emit(&Event::Retry { index: 2, value: f64::NAN });
+            sink.emit(&Event::PanicIsolated { index: None });
+            sink.emit(&Event::PanicIsolated { index: Some(3) });
+            sink.emit(&Event::Fallback { index: 2, value: 0.0 });
+            sink.emit(&Event::Clamped { index: 4, raw: 1.25 });
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -883,24 +824,49 @@ mod tests {
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'));
         }
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
     }
 
+    /// A serving event reaches a [`MemorySink`] intact.
     #[test]
     fn serve_memory_observer_captures_events() {
-        let (mut obs, log) = ServeMemoryObserver::new();
-        obs.on_serve_event(&ServeEvent::Fallback { index: 5, value: f64::NAN });
+        let (mut sink, log) = MemorySink::new();
+        sink.emit(&Event::Fallback { index: 5, value: f64::NAN });
         let events = log.lock().unwrap();
         assert_eq!(events.len(), 1);
-        assert!(matches!(events[0], ServeEvent::Fallback { index: 5, .. }));
+        assert!(matches!(events[0], Event::Fallback { index: 5, .. }));
     }
 
+    /// A training event reaches a [`MemorySink`] intact.
     #[test]
     fn memory_observer_captures_events() {
-        let (mut obs, log) = MemoryObserver::new();
-        obs.on_event(&TrainEvent::Rollback { epoch: 1, step: 7, lr: 5e-4 });
+        let (mut sink, log) = MemorySink::new();
+        sink.emit(&Event::Rollback { epoch: 1, step: 7, lr: 5e-4 });
         let events = log.lock().unwrap();
         assert_eq!(events.len(), 1);
-        assert!(matches!(events[0], TrainEvent::Rollback { epoch: 1, step: 7, .. }));
+        assert!(matches!(events[0], Event::Rollback { epoch: 1, step: 7, .. }));
+    }
+
+    /// A `Uae` has one sink for both of its loops: training events first,
+    /// then the serving events of the estimates that follow.
+    #[test]
+    fn one_sink_on_a_uae_sees_train_then_serve_events() {
+        let table = uae_data::census_like(300, 2);
+        let cfg = crate::UaeConfig {
+            model: crate::ResMadeConfig { hidden: 16, blocks: 1, seed: 3 },
+            estimate_samples: 16,
+            ..crate::UaeConfig::default()
+        };
+        let mut uae = crate::Uae::new(&table, cfg);
+        let (sink, log) = MemorySink::new();
+        uae.set_sink(Box::new(sink));
+        uae.train_data(2);
+        // An unconstrained query is trivial: answered by validation.
+        assert_eq!(uae.try_estimate_card(&uae_query::Query::new(vec![])).unwrap().selectivity, 1.0);
+        let events = log.lock().unwrap();
+        assert_eq!(events.len(), 3, "{events:?}");
+        assert!(matches!(events[0], Event::Epoch(EpochMetrics { epoch: 0, .. })));
+        assert!(matches!(events[1], Event::Epoch(EpochMetrics { epoch: 1, .. })));
+        assert!(matches!(events[2], Event::ValidationShortcut { index: 0, empty: false }));
     }
 }

@@ -15,7 +15,7 @@
 use std::collections::HashSet;
 
 use uae_core::{
-    DpsConfig, LoadError, MemoryObserver, ResMadeConfig, TrainConfig, TrainEvent, Uae, UaeConfig,
+    DpsConfig, Event, LoadError, MemorySink, ResMadeConfig, TrainConfig, Uae, UaeConfig,
 };
 use uae_data::census_like;
 use uae_query::{generate_workload, LabeledQuery, WorkloadSpec};
@@ -293,8 +293,8 @@ fn injected_nan_steps_are_skipped_and_weights_stay_finite() {
     cfg.train.max_bad_steps = 3;
     let lr0 = cfg.train.lr;
     let mut uae = Uae::new(&t, cfg);
-    let (obs, log) = MemoryObserver::new();
-    uae.set_observer(Box::new(obs));
+    let (sink, log) = MemorySink::new();
+    uae.set_sink(Box::new(sink));
 
     let losses = uae.train_hybrid(&w, 3);
 
@@ -320,19 +320,19 @@ fn injected_nan_steps_are_skipped_and_weights_stay_finite() {
     let skips: Vec<u64> = events
         .iter()
         .filter_map(|e| match e {
-            TrainEvent::StepSkipped { step, .. } => Some(*step),
+            Event::StepSkipped { step, .. } => Some(*step),
             _ => None,
         })
         .collect();
     assert_eq!(skips, vec![8, 9, 10]);
-    assert!(events.iter().any(|e| matches!(e, TrainEvent::Rollback { .. })));
+    assert!(events.iter().any(|e| matches!(e, Event::Rollback { .. })));
     // Epoch metrics: the poisoned epoch reports its skips and divides the
     // loss over *executed* steps only (a skipped step contributes no
     // deflating zero).
     let epochs: Vec<_> = events
         .iter()
         .filter_map(|e| match e {
-            TrainEvent::Epoch(m) => Some(m.clone()),
+            Event::Epoch(m) => Some(m.clone()),
             _ => None,
         })
         .collect();

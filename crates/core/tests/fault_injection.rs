@@ -8,8 +8,8 @@
 use uae_core::infer_batch::{progressive_sample_batch_sharded, BatchScratch};
 use uae_core::vquery::VirtualQuery;
 use uae_core::{
-    EstimateSource, LoadError, ResMade, ResMadeConfig, ServeEvent, ServeMemoryObserver,
-    TrainConfig, Uae, UaeConfig, VirtualSchema,
+    EstimateSource, Event, LoadError, MemorySink, ResMade, ResMadeConfig, TrainConfig, Uae,
+    UaeConfig, VirtualSchema,
 };
 use uae_data::{Table, Value};
 use uae_query::{Predicate, Query};
@@ -79,8 +79,8 @@ fn persistent_nan_degrades_one_query_to_baseline() {
     let clean = base.clone();
     let mut faulted = base.clone();
     faulted.serve_config_mut().fault.nan_always = vec![2];
-    let (obs, log) = ServeMemoryObserver::new();
-    faulted.set_serve_observer(Box::new(obs));
+    let (sink, log) = MemorySink::new();
+    faulted.set_sink(Box::new(sink));
 
     let want = cards(&clean, &queries);
     let got = cards(&faulted, &queries);
@@ -105,8 +105,8 @@ fn persistent_nan_degrades_one_query_to_baseline() {
     assert_eq!(stats.retries, 1);
     assert_eq!(stats.fallbacks, 1);
     let events = log.lock().expect("event log");
-    assert!(events.iter().any(|e| matches!(e, ServeEvent::Retry { index: 2, .. })));
-    assert!(events.iter().any(|e| matches!(e, ServeEvent::Fallback { index: 2, .. })));
+    assert!(events.iter().any(|e| matches!(e, Event::Retry { index: 2, .. })));
+    assert!(events.iter().any(|e| matches!(e, Event::Fallback { index: 2, .. })));
 }
 
 /// NaN logits on the first attempt only: the derived-seed retry recovers a
@@ -153,8 +153,8 @@ fn assert_panic_isolated(queries: &[Query], target: usize) {
     let clean = base.clone();
     let mut faulted = base.clone();
     faulted.serve_config_mut().fault.panic_queries = vec![target as u64];
-    let (obs, log) = ServeMemoryObserver::new();
-    faulted.set_serve_observer(Box::new(obs));
+    let (sink, log) = MemorySink::new();
+    faulted.set_sink(Box::new(sink));
 
     let want = cards(&clean, queries);
     let got = cards(&faulted, queries);
@@ -177,10 +177,10 @@ fn assert_panic_isolated(queries: &[Query], target: usize) {
     assert_eq!(stats.fallbacks, 1);
     {
         let events = log.lock().expect("event log");
-        assert!(events.iter().any(|e| matches!(e, ServeEvent::PanicIsolated { index: None })));
-        assert!(events.iter().any(
-            |e| matches!(e, ServeEvent::PanicIsolated { index: Some(i) } if *i == target as u64)
-        ));
+        assert!(events.iter().any(|e| matches!(e, Event::PanicIsolated { index: None })));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, Event::PanicIsolated { index: Some(i) } if *i == target as u64)));
     }
 
     // The serving loop survives: the same estimator keeps answering, and
@@ -257,8 +257,8 @@ fn panicking_query_is_isolated_sequentially() {
     let base = quick_uae(14);
     let mut faulted = base.clone();
     faulted.serve_config_mut().fault.panic_queries = vec![0];
-    let (obs, log) = ServeMemoryObserver::new();
-    faulted.set_serve_observer(Box::new(obs));
+    let (sink, log) = MemorySink::new();
+    faulted.set_sink(Box::new(sink));
 
     let est = faulted.try_estimate_card(&workload()[0]).expect("degraded, not dead");
     assert_eq!(est.source, EstimateSource::Baseline);
@@ -269,9 +269,9 @@ fn panicking_query_is_isolated_sequentially() {
     assert_eq!(stats.fallbacks, 1);
     let events = log.lock().expect("event log");
     let isolated =
-        events.iter().filter(|e| matches!(e, ServeEvent::PanicIsolated { index: Some(0) })).count();
+        events.iter().filter(|e| matches!(e, Event::PanicIsolated { index: Some(0) })).count();
     assert_eq!(isolated, 2, "first attempt and retry each isolate query 0");
-    assert!(!events.iter().any(|e| matches!(e, ServeEvent::PanicIsolated { index: None })));
+    assert!(!events.iter().any(|e| matches!(e, Event::PanicIsolated { index: None })));
 }
 
 /// A join-style vquery batch with one query that panics inside the walk

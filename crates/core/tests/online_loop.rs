@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 
 use uae_core::{
-    GateDecision, OnlineConfig, OnlineFaultPlan, OnlineMemoryObserver, OnlineTrainer, QueryPool,
+    GateDecision, MemorySink, OnlineConfig, OnlineFaultPlan, OnlineTrainer, QueryPool,
     ResMadeConfig, RoundOutcome, TrainConfig, Uae, UaeConfig,
 };
 use uae_data::census_like;
@@ -109,8 +109,8 @@ fn nan_candidate_is_rejected_and_live_model_untouched() {
         OnlineConfig { fault: OnlineFaultPlan { nan_rounds: vec![0] }, ..small_online_config() };
     let pool = QueryPool::new(256);
     let mut trainer = OnlineTrainer::new(&live, cfg);
-    let (obs, events) = OnlineMemoryObserver::new();
-    trainer.set_observer(Box::new(obs));
+    let (sink, events) = MemorySink::new();
+    trainer.set_sink(Box::new(sink));
 
     pool.extend(stream.iter().take(24).cloned());
     let report = trainer.round(&pool, &live, 0);
@@ -134,9 +134,9 @@ fn nan_candidate_is_rejected_and_live_model_untouched() {
 
     let events = events.lock().expect("event log");
     assert!(events.iter().any(
-        |e| matches!(e, uae_core::OnlineEvent::Rejected { decision, .. } if decision == "unhealthy")
+        |e| matches!(e, uae_core::Event::OnlineRejected { decision, .. } if decision == "unhealthy")
     ));
-    assert!(events.iter().any(|e| matches!(e, uae_core::OnlineEvent::Promoted { version: 1, .. })));
+    assert!(events.iter().any(|e| matches!(e, uae_core::Event::OnlinePromoted { version: 1, .. })));
 }
 
 /// The probation watch: a promotion that regresses in the wild (here the

@@ -58,10 +58,10 @@ impl JoinUae {
         &mut self.uae
     }
 
-    /// Attach a training observer (per-epoch metrics, divergence events)
-    /// to the underlying estimator.
-    pub fn set_observer(&mut self, observer: Box<dyn uae_core::TrainObserver>) {
-        self.uae.set_observer(observer);
+    /// Attach an event sink (per-epoch metrics, divergence events,
+    /// serving events) to the underlying estimator.
+    pub fn set_sink(&self, sink: Box<dyn uae_core::Sink>) {
+        self.uae.set_sink(sink);
     }
 
     /// Serialize the full trainer state (`UAEC`) of the underlying

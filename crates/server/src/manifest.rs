@@ -192,6 +192,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Manifest {
         let mut entries = BTreeMap::new();
@@ -243,6 +244,34 @@ mod tests {
             let mut bad = blob.clone();
             bad[i] ^= 0x10;
             assert!(Manifest::decode(&bad).is_err(), "bit flip at {i} must be rejected");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Mutation fuzz of the parser behind the checksum: overwrite,
+        /// truncate or extend a valid payload, then re-seal it so the
+        /// mutation reaches the field parser. Decoding must return a typed
+        /// result (a panic fails the test), and whatever it accepts must
+        /// survive a re-encode unchanged.
+        #[test]
+        fn manifest_decode_survives_mutated_payloads(
+            edits in proptest::collection::vec((0u8..3, any::<u32>(), any::<u8>()), 1..=6),
+        ) {
+            let sealed = sample().encode();
+            let mut payload = open_blob(&sealed, MAGIC, VERSION).expect("valid blob").to_vec();
+            for (kind, pos, byte) in edits {
+                let at = pos as usize % (payload.len() + 1);
+                match kind {
+                    0 if at < payload.len() => payload[at] = byte,
+                    1 => payload.truncate(at),
+                    _ => payload.insert(at, byte),
+                }
+            }
+            if let Ok(m) = Manifest::decode(&seal_blob(MAGIC, VERSION, &payload)) {
+                prop_assert_eq!(Manifest::decode(&m.encode()).expect("re-encode decodes"), m);
+            }
         }
     }
 

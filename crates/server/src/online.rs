@@ -58,7 +58,7 @@ struct LearnerShared {
 /// Handle to the background `uae-online` trainer thread. Dropping the
 /// handle stops and joins the thread; [`OnlineLearner::stop`] does the
 /// same and additionally hands the trainer back (for a final
-/// checkpoint, observer drain, or inspection).
+/// checkpoint, sink drain, or inspection).
 pub struct OnlineLearner {
     shared: Arc<LearnerShared>,
     handle: Option<JoinHandle<OnlineTrainer>>,
@@ -147,7 +147,7 @@ impl OnlineLearner {
     }
 
     /// Stop the loop and hand the trainer back (it keeps its version
-    /// history, branch state, and any attached observer).
+    /// history, branch state, and any attached sink).
     pub fn stop(mut self) -> OnlineTrainer {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.handle.take().expect("learner running").join().expect("uae-online thread")

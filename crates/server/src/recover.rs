@@ -27,8 +27,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use uae_core::{
-    quarantine, DiskFaults, Journal, JournalRecord, PersistError, QuantMode, RecoveryEvent,
-    RecoveryObserver, RoutePolicy, Uae, JOURNAL_FILE,
+    quarantine, DiskFaults, Event, Journal, JournalRecord, PersistError, QuantMode, RoutePolicy,
+    Sink, Uae, JOURNAL_FILE,
 };
 
 use crate::manifest::Manifest;
@@ -98,30 +98,30 @@ pub struct RecoveryReport {
     pub recover_ms: f64,
 }
 
-fn emit(observer: &mut Option<&mut dyn RecoveryObserver>, event: RecoveryEvent) {
-    if let Some(obs) = observer.as_deref_mut() {
-        obs.on_recovery_event(&event);
+fn emit(sink: &mut Option<&mut dyn Sink>, event: Event) {
+    if let Some(sink) = sink.as_deref_mut() {
+        sink.emit(&event);
     }
 }
 
 fn quarantine_into(
     path: &Path,
     reason: &str,
-    sink: &mut Vec<PathBuf>,
-    observer: &mut Option<&mut dyn RecoveryObserver>,
+    moved: &mut Vec<PathBuf>,
+    sink: &mut Option<&mut dyn Sink>,
 ) -> Result<(), PersistError> {
     if !path.exists() {
         return Ok(());
     }
     let new_path = quarantine(path)?;
     emit(
-        observer,
-        RecoveryEvent::Quarantined {
+        sink,
+        Event::RecoveryQuarantined {
             path: new_path.display().to_string(),
             reason: reason.to_owned(),
         },
     );
-    sink.push(new_path);
+    moved.push(new_path);
     Ok(())
 }
 
@@ -143,10 +143,10 @@ pub fn recover_registry(
     dir: &Path,
     builder: &mut dyn FnMut(&str) -> Option<Uae>,
     faults: Option<Arc<DiskFaults>>,
-    mut observer: Option<&mut dyn RecoveryObserver>,
+    mut sink: Option<&mut dyn Sink>,
 ) -> Result<(Arc<Registry>, RecoveryReport), PersistError> {
     let started = Instant::now();
-    emit(&mut observer, RecoveryEvent::Started { dir: dir.display().to_string() });
+    emit(&mut sink, Event::RecoveryStarted { dir: dir.display().to_string() });
 
     let mut report = RecoveryReport { manifest_ok: true, ..RecoveryReport::default() };
 
@@ -161,7 +161,7 @@ pub fn recover_registry(
                 &Manifest::path_in(dir),
                 "manifest checksum or structure invalid",
                 &mut report.quarantined,
-                &mut observer,
+                &mut sink,
             )?;
             Manifest::default()
         }
@@ -211,7 +211,7 @@ pub fn recover_registry(
                     &dir.join(ck),
                     "promotion intent without commit (torn promotion)",
                     &mut quarantined_here,
-                    &mut observer,
+                    &mut sink,
                 )?;
             }
         }
@@ -268,7 +268,7 @@ pub fn recover_registry(
                             &path,
                             &format!("checkpoint rejected: {e}"),
                             &mut quarantined_here,
-                            &mut observer,
+                            &mut sink,
                         )?,
                     }
                 }
@@ -291,8 +291,8 @@ pub fn recover_registry(
         registry.register_full(tenant.clone(), model, None, version, checkpoint.clone());
 
         emit(
-            &mut observer,
-            RecoveryEvent::TenantRecovered {
+            &mut sink,
+            Event::RecoveryTenant {
                 tenant: tenant.clone(),
                 version,
                 source: source.as_str().to_owned(),
@@ -317,7 +317,7 @@ pub fn recover_registry(
             &journal_path,
             "journal tail torn or corrupt",
             &mut report.quarantined,
-            &mut observer,
+            &mut sink,
         )?;
     }
 
@@ -329,8 +329,8 @@ pub fn recover_registry(
 
     report.recover_ms = started.elapsed().as_secs_f64() * 1e3;
     emit(
-        &mut observer,
-        RecoveryEvent::Finished {
+        &mut sink,
+        Event::RecoveryFinished {
             tenants: report.tenants.len(),
             quarantined: report.quarantined.len(),
             journal_torn: report.journal_torn,

@@ -36,9 +36,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
-use uae_core::{
-    BackendChoice, Estimate, EstimateError, EstimateSource, FlushReason, ServeEvent, ServeObserver,
-};
+use uae_core::{BackendChoice, Estimate, EstimateError, EstimateSource, Event, FlushReason, Sink};
 use uae_query::{CardEstimator, LabeledQuery, Query};
 
 use crate::batcher::{MicroBatcher, Poll};
@@ -391,7 +389,7 @@ struct Shared {
     registry: Arc<Registry>,
     stats: ServerStatsCell,
     latency: LatencyWindow,
-    observer: parking_lot::Mutex<Option<Box<dyn ServeObserver>>>,
+    sink: parking_lot::Mutex<Option<Box<dyn Sink>>>,
     jobs: JobQueue,
     gate: PauseGate,
     shutting_down: AtomicBool,
@@ -409,9 +407,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn emit(&self, event: ServeEvent) {
-        if let Some(obs) = self.observer.lock().as_mut() {
-            obs.on_serve_event(&event);
+    fn emit(&self, event: Event) {
+        if let Some(sink) = self.sink.lock().as_mut() {
+            sink.emit(&event);
         }
     }
 }
@@ -436,7 +434,7 @@ impl Server {
             registry: registry.clone(),
             stats: ServerStatsCell::default(),
             latency: LatencyWindow::new(cfg.latency_window),
-            observer: parking_lot::Mutex::new(None),
+            sink: parking_lot::Mutex::new(None),
             jobs: JobQueue::default(),
             gate: PauseGate { paused: Mutex::new(cfg.start_paused), cv: Condvar::new() },
             shutting_down: AtomicBool::new(false),
@@ -489,9 +487,9 @@ impl Server {
         dir: &std::path::Path,
         cfg: ServerConfig,
         builder: &mut dyn FnMut(&str) -> Option<uae_core::Uae>,
-        observer: Option<&mut dyn uae_core::RecoveryObserver>,
+        sink: Option<&mut dyn Sink>,
     ) -> Result<(Server, crate::recover::RecoveryReport), uae_core::PersistError> {
-        let (registry, report) = crate::recover::recover_registry(dir, builder, None, observer)?;
+        let (registry, report) = crate::recover::recover_registry(dir, builder, None, sink)?;
         Ok((Server::start(registry, cfg), report))
     }
 
@@ -505,12 +503,16 @@ impl Server {
         &self.cfg
     }
 
-    /// Attach a serve observer for front-end events
-    /// ([`ServeEvent::BatchFlushed`], [`ServeEvent::RequestServed`]).
-    /// Model-level events are observed per tenant via
-    /// [`Uae::set_serve_observer`].
-    pub fn set_observer(&self, observer: Box<dyn ServeObserver>) {
-        *self.shared.observer.lock() = Some(observer);
+    /// Attach a sink for front-end events ([`Event::BatchFlushed`],
+    /// [`Event::RequestServed`], [`Event::Routed`]). Model-level events
+    /// are observed per tenant via [`Uae::set_sink`].
+    pub fn set_sink(&self, sink: Box<dyn Sink>) {
+        *self.shared.sink.lock() = Some(sink);
+    }
+
+    /// Detach the front-end sink (dropping a JSONL sink flushes it).
+    pub fn take_sink(&self) -> Option<Box<dyn Sink>> {
+        self.shared.sink.lock().take()
     }
 
     /// Submit one query for `tenant`. Non-blocking: either the request
@@ -824,7 +826,7 @@ fn flush(
         FlushReason::Drain => stats.flush_drain.fetch_add(1, Ordering::SeqCst),
     };
     stats.batch_hist[batch_bucket(requests.len())].fetch_add(1, Ordering::SeqCst);
-    shared.emit(ServeEvent::BatchFlushed {
+    shared.emit(Event::BatchFlushed {
         batch: seq,
         tenant: tenant.name().to_owned(),
         size: requests.len(),
@@ -950,7 +952,7 @@ fn run_batch(shared: &Arc<Shared>, job: BatchJob) {
                     stats.routed_requests.fetch_add(1, Ordering::SeqCst);
                     if let Some(router) = router.as_deref() {
                         let backend = &router.backends()[b];
-                        shared.emit(ServeEvent::Routed {
+                        shared.emit(Event::Routed {
                             index: req.id,
                             backend: backend.name().to_owned(),
                             family: backend.family().label(),
@@ -973,7 +975,7 @@ fn run_batch(shared: &Arc<Shared>, job: BatchJob) {
         shared.latency.record(total_ms);
         queue_ns_total += (queue_ms * 1e6) as u64;
         exec_ns_total += (execute_ms * 1e6) as u64;
-        shared.emit(ServeEvent::RequestServed {
+        shared.emit(Event::RequestServed {
             index: req.id,
             tenant: job.tenant.name().to_owned(),
             queue_ms,

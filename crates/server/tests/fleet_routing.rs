@@ -8,8 +8,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use uae_core::{
-    EstimateSource, QueryPool, ResMadeConfig, RouteConfig, Router, ServeEvent, ServeMemoryObserver,
-    TrainConfig, Uae, UaeConfig,
+    EstimateSource, Event, MemorySink, QueryPool, ResMadeConfig, RouteConfig, Router, TrainConfig,
+    Uae, UaeConfig,
 };
 use uae_data::census_like;
 use uae_estimators::HistogramEstimator;
@@ -73,8 +73,8 @@ fn routed_batch_tags_backend_and_skips_primary() {
     registry.set_router("census", Some(Arc::new(route_everything(rows, 19)))).expect("tenant");
 
     let server = Server::start(registry, ServerConfig::deterministic(64));
-    let (obs, events) = ServeMemoryObserver::new();
-    server.set_observer(Box::new(obs));
+    let (sink, events) = MemorySink::new();
+    server.set_sink(Box::new(sink));
 
     let tickets: Vec<_> = workload
         .iter()
@@ -110,7 +110,7 @@ fn routed_batch_tags_backend_and_skips_primary() {
     let tagged: Vec<_> = events
         .iter()
         .filter_map(|e| match e {
-            ServeEvent::Routed { backend, family, .. } => Some((backend.clone(), *family)),
+            Event::Routed { backend, family, .. } => Some((backend.clone(), *family)),
             _ => None,
         })
         .collect();

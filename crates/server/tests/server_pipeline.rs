@@ -5,9 +5,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use uae_core::{
-    EstimateSource, ResMadeConfig, ServeEvent, ServeMemoryObserver, TrainConfig, Uae, UaeConfig,
-};
+use uae_core::{EstimateSource, Event, MemorySink, ResMadeConfig, TrainConfig, Uae, UaeConfig};
 use uae_data::census_like;
 use uae_query::{generate_workload, Query, WorkloadSpec};
 use uae_server::{
@@ -52,8 +50,8 @@ fn deterministic_replay_matches_estimate_batch() {
     let registry = Arc::new(Registry::new());
     registry.register("census", uae.clone());
     let server = Server::start(registry, ServerConfig::deterministic(queries.len()));
-    let (obs, events) = ServeMemoryObserver::new();
-    server.set_observer(Box::new(obs));
+    let (sink, events) = MemorySink::new();
+    server.set_sink(Box::new(sink));
 
     let tickets: Vec<_> = queries
         .iter()
@@ -77,8 +75,8 @@ fn deterministic_replay_matches_estimate_batch() {
     assert_eq!(stats.queue_depth, 0, "every accepted request was answered");
 
     let events = events.lock().expect("event log");
-    let flushed = events.iter().filter(|e| matches!(e, ServeEvent::BatchFlushed { .. })).count();
-    let served = events.iter().filter(|e| matches!(e, ServeEvent::RequestServed { .. })).count();
+    let flushed = events.iter().filter(|e| matches!(e, Event::BatchFlushed { .. })).count();
+    let served = events.iter().filter(|e| matches!(e, Event::RequestServed { .. })).count();
     assert_eq!(flushed as u64, stats.batches);
     assert_eq!(served as u64, stats.accepted);
 }

@@ -32,8 +32,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use uae::core::{
-    DiskFaultKind, DiskFaultPlan, DiskFaults, JsonlObserver, OnlineConfig, OnlineTrainer,
-    QueryPool, ResMadeConfig, RoundOutcome, TrainConfig, Uae, UaeConfig,
+    DiskFaultKind, DiskFaultPlan, DiskFaults, JsonlSink, OnlineConfig, OnlineTrainer, QueryPool,
+    ResMadeConfig, RoundOutcome, TrainConfig, Uae, UaeConfig,
 };
 use uae::data::{census_like, Table};
 use uae::query::{generate_workload, label_queries, CardEstimator, LabeledQuery, WorkloadSpec};
@@ -201,7 +201,7 @@ fn run_case(
     stream: &[LabeledQuery],
     answers: &BTreeMap<u64, Vec<f64>>,
     final_version: u64,
-    recovery_log: &mut JsonlObserver,
+    recovery_log: &mut JsonlSink,
 ) -> CaseOutcome {
     let dir = fresh_dir(root, tag);
     let faults = (!plan.is_inert()).then(|| Arc::new(DiskFaults::new(plan)));
@@ -358,7 +358,7 @@ fn main() {
         reference.published.len()
     );
 
-    let mut recovery_log = JsonlObserver::create(target.join("chaos_recovery.jsonl"), "chaos")
+    let mut recovery_log = JsonlSink::create(target.join("chaos_recovery.jsonl"), "chaos")
         .expect("open recovery telemetry");
     let mut case_log = std::io::BufWriter::new(
         std::fs::File::create(target.join("chaos_drill.jsonl")).expect("open case telemetry"),

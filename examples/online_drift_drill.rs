@@ -23,8 +23,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use uae::core::{
-    shadow_score, JsonlObserver, OnlineConfig, OnlineTrainer, QueryPool, ResMadeConfig,
-    RoundOutcome, TrainConfig, Uae, UaeConfig,
+    shadow_score, JsonlSink, OnlineConfig, OnlineTrainer, QueryPool, ResMadeConfig, RoundOutcome,
+    TrainConfig, Uae, UaeConfig,
 };
 use uae::data::census_like;
 use uae::query::{generate_workload, label_queries, LabeledQuery, WorkloadSpec};
@@ -135,8 +135,8 @@ fn main() {
             ..OnlineConfig::default()
         },
     );
-    match JsonlObserver::create(&metrics, "online-drill") {
-        Ok(obs) => trainer.set_observer(Box::new(obs)),
+    match JsonlSink::create(&metrics, "online-drill") {
+        Ok(sink) => trainer.set_sink(Box::new(sink)),
         Err(e) => eprintln!("warning: cannot open {}: {e}", metrics.display()),
     }
 
@@ -201,7 +201,7 @@ fn main() {
     println!("[drill] recovery chart: {}", chart.display());
     println!("[drill] telemetry: {}", metrics.display());
 
-    drop(trainer); // flush the JSONL observer before the verdict
+    drop(trainer); // flush the JSONL sink before the verdict
     if !ok {
         eprintln!(
             "[drill] FAILED: median q-error {recovered:.3} did not recover to \

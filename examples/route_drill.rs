@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use uae::core::{
-    JsonlObserver, ResMadeConfig, RouteConfig, RoutedFleet, Router, TrainConfig, Uae, UaeConfig,
+    JsonlSink, ResMadeConfig, RouteConfig, RoutedFleet, Router, TrainConfig, Uae, UaeConfig,
 };
 use uae::data::{dmv_like, kddcup_like, Table};
 use uae::estimators::{HistogramEstimator, SamplingEstimator, SpnConfig, SpnEstimator};
@@ -229,8 +229,8 @@ fn main() {
 
     for r in &regimes {
         let fleet = RoutedFleet::new(Arc::new(r.uae.clone()), Arc::new(r.router()));
-        match JsonlObserver::append(&metrics, r.name) {
-            Ok(obs) => fleet.set_serve_observer(Box::new(obs)),
+        match JsonlSink::append(&metrics, r.name) {
+            Ok(sink) => fleet.set_sink(Box::new(sink)),
             Err(e) => eprintln!("warning: cannot open {}: {e}", metrics.display()),
         }
 
@@ -260,7 +260,7 @@ fn main() {
             stats.routed,
             stats.served,
         );
-        drop(fleet.take_serve_observer()); // flush JSONL
+        drop(fleet.take_sink()); // flush JSONL
 
         let pass = fleet_med <= best_median * REGIME_GRACE;
         println!(

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use uae::core::{JsonlObserver, Uae, UaeConfig};
+use uae::core::{JsonlSink, Uae, UaeConfig};
 use uae::query::{generate_workload, Query, WorkloadSpec};
 use uae::server::{DegradeConfig, Registry, Server, ServerConfig, SubmitError};
 
@@ -82,8 +82,8 @@ fn main() {
             ..ServerConfig::default()
         },
     );
-    match JsonlObserver::create(&metrics, "serve-front") {
-        Ok(obs) => server.set_observer(Box::new(obs)),
+    match JsonlSink::create(&metrics, "serve-front") {
+        Ok(sink) => server.set_sink(Box::new(sink)),
         Err(e) => eprintln!("warning: cannot open {}: {e}", metrics.display()),
     }
 

@@ -18,7 +18,7 @@
 
 use std::path::PathBuf;
 
-use uae::core::{EstimateSource, JsonlObserver, LoadError, Uae, UaeConfig};
+use uae::core::{EstimateSource, JsonlSink, LoadError, Uae, UaeConfig};
 use uae::data::{census_like, Table};
 use uae::query::{Predicate, Query};
 
@@ -73,8 +73,8 @@ fn main() {
         serve.fault.panic_queries = vec![4];
         serve.fault.corrupt_checkpoint = Some((96, 0x40));
     }
-    match JsonlObserver::create(&metrics, "fault-drill") {
-        Ok(obs) => uae.set_serve_observer(Box::new(obs)),
+    match JsonlSink::create(&metrics, "fault-drill") {
+        Ok(sink) => uae.set_sink(Box::new(sink)),
         Err(e) => eprintln!("warning: cannot open {}: {e}", metrics.display()),
     }
 

@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-use uae::core::{JsonlObserver, Uae, UaeConfig};
+use uae::core::{JsonlSink, Uae, UaeConfig};
 use uae::query::{default_bounded_column, generate_workload, WorkloadSpec};
 
 fn metrics_out() -> Option<PathBuf> {
@@ -31,8 +31,8 @@ fn metrics_out() -> Option<PathBuf> {
 
 fn attach(uae: &mut Uae, path: Option<&PathBuf>, label: &str) {
     if let Some(p) = path {
-        match JsonlObserver::append(p, label) {
-            Ok(obs) => uae.set_observer(Box::new(obs)),
+        match JsonlSink::append(p, label) {
+            Ok(sink) => uae.set_sink(Box::new(sink)),
             Err(e) => eprintln!("warning: cannot open {}: {e}", p.display()),
         }
     }
