@@ -14,9 +14,8 @@ echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q
 
-echo "== scalar fallback: kernel + parity suites under UAE_FORCE_SCALAR =="
+echo "== kernel suites under UAE_FORCE_SCALAR =="
 UAE_FORCE_SCALAR=1 cargo test -q -p uae-tensor
-UAE_FORCE_SCALAR=1 cargo test -q -p uae-core --test quant_parity
 
 echo "== engine equivalence + zero-alloc under the portable and forced-scalar backends =="
 # The head-prefix forward runs on the packed layout (portable, avx2) and

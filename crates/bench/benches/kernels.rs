@@ -1,14 +1,12 @@
 //! Microbenchmarks of the inference kernel layer at ResMADE shapes
 //! (128-wide hidden layers, 256-row sample batches): f32 matmul on every
-//! backend, the int8 panel matmul including dynamic activation
-//! quantization, and the fused epilogues. Prints ns/call, GFLOP/s and
+//! backend and the fused epilogues. Prints ns/call, GFLOP/s and
 //! speedups over the Exact scalar oracle, then registers the same kernels
 //! as Criterion benches.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-use uae_tensor::quant::{self, QuantMatrix};
 use uae_tensor::simd::{self, avx2_available};
 use uae_tensor::{Backend, Tensor};
 
@@ -82,27 +80,6 @@ fn measure_all() -> Vec<KernelRow> {
         });
     }
 
-    // int8 panel matmul including per-row dynamic quantization.
-    let m = QuantMatrix::quantize(&b, K);
-    let mut qa = vec![0i16; m.padded_k()];
-    let qbackends: Vec<Backend> =
-        if avx2_available() { vec![Backend::Exact, Backend::Avx2] } else { vec![Backend::Exact] };
-    for be in qbackends {
-        let ns = time_ns(20, || {
-            for r in 0..ROWS {
-                let a_scale = quant::quantize_row(a.row(r), &mut qa);
-                quant::qmatmul_row_with(be, &qa, &m, a_scale, &mut out);
-                black_box(&out);
-            }
-        });
-        rows.push(KernelRow {
-            kernel: "matmul_int8_256x128x128",
-            backend: format!("{be:?}"),
-            ns_per_call: ns,
-            gflops: flops / ns,
-        });
-    }
-
     // The in-model shape that decides the serving trajectory: relu-sparse
     // activations (about half the lanes zero) against a degree-packed
     // weight matrix (monotone zero-prefix starts covering half the panel).
@@ -139,25 +116,6 @@ fn measure_all() -> Vec<KernelRow> {
             gflops: flops / ns,
         });
     }
-    let mp = QuantMatrix::quantize_packed(&packed_b, K, Some(&starts));
-    let qp_backends: Vec<Backend> =
-        if avx2_available() { vec![Backend::Exact, Backend::Avx2] } else { vec![Backend::Exact] };
-    for be in qp_backends {
-        let ns = time_ns(20, || {
-            for r in 0..ROWS {
-                let a_scale = quant::quantize_row(sparse.row(r), &mut qa);
-                quant::qmatmul_row_with(be, &qa, &mp, a_scale, &mut out);
-                black_box(&out);
-            }
-        });
-        rows.push(KernelRow {
-            kernel: "matmul_int8_sparse_packed",
-            backend: format!("{be:?}"),
-            ns_per_call: ns,
-            gflops: flops / ns,
-        });
-    }
-
     // Fused bias+relu epilogue over the 256x128 activation block.
     let ep_flops = (2 * ROWS * N) as f64;
     for be in backends() {
@@ -219,7 +177,6 @@ fn bench_kernels(c: &mut Criterion) {
     // The same kernels under Criterion for relative tracking.
     let a = Tensor::from_vec(ROWS, K, pseudo(0xA11CE, -1.5, 1.5, ROWS * K));
     let b = Tensor::from_vec(K, N, pseudo(0xB0B, -1.0, 1.0, K * N));
-    let m = QuantMatrix::quantize(&b, K);
     let mut g = c.benchmark_group("kernels");
     g.sample_size(10);
     for be in backends() {
@@ -234,17 +191,6 @@ fn bench_kernels(c: &mut Criterion) {
             })
         });
     }
-    let mut qa = vec![0i16; m.padded_k()];
-    let mut out = vec![0.0f32; N];
-    g.bench_function("matmul_int8/dispatch", |bch| {
-        bch.iter(|| {
-            for r in 0..ROWS {
-                let a_scale = quant::quantize_row(a.row(r), &mut qa);
-                quant::qmatmul_row(&qa, &m, a_scale, &mut out);
-            }
-            black_box(&out);
-        })
-    });
     g.finish();
 }
 

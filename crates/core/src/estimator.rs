@@ -12,9 +12,7 @@ use rand::{Rng, RngExt, SeedableRng};
 use uae_data::Table;
 use uae_estimators::HistogramEstimator;
 use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query, QueryCost};
-use uae_tensor::{
-    Adam, AdamState, GradStore, Optimizer, ParamStore, QuantMode, Tape, TapeWorkspace,
-};
+use uae_tensor::{Adam, AdamState, GradStore, Optimizer, ParamStore, Tape, TapeWorkspace};
 
 use crate::encoding::VirtualSchema;
 use crate::infer_batch::{progressive_sample_batch_with, BatchScratch};
@@ -341,19 +339,16 @@ impl Uae {
     }
 
     /// Open one estimate call over `n` queries: build the inference
-    /// snapshot if needed (mask packing and int8 quantization happen here —
-    /// once per weight version, never per query), align the batch
-    /// scratch's numeric mode with the serving config, draw one seed per
-    /// query from the estimator's stream and reserve `n` serving indices.
+    /// snapshot if needed (mask packing happens here — once per weight
+    /// version, never per query), draw one seed per query from the
+    /// estimator's stream and reserve `n` serving indices.
     /// Every query takes a seed and an index, sampled or not, so answers do
     /// not depend on how a query stream is split into calls. Returns the
     /// seeds and the first serving index.
     fn open_call(&self, est: &mut EstCache, n: usize) -> (Vec<u64>, u64) {
-        let mode = self.cfg.serve.quant;
         if est.raw.is_none() {
-            est.raw = Some(self.model.snapshot_with(&self.store, mode));
+            est.raw = Some(self.model.snapshot(&self.store));
         }
-        est.batch.set_quant_mode(mode);
         let seeds = (0..n).map(|_| est.rng.next_u64()).collect();
         let base = est.serve.stats.served;
         est.serve.stats.served += n as u64;
@@ -664,30 +659,9 @@ impl Uae {
         self.est.lock().serve.stats.clone()
     }
 
-    /// Serving configuration (read-only view).
-    pub fn serve_config(&self) -> &ServeConfig {
-        &self.cfg.serve
-    }
-
     /// Mutable serving configuration — cascade knobs and the fault plan.
     pub fn serve_config_mut(&mut self) -> &mut ServeConfig {
         &mut self.cfg.serve
-    }
-
-    /// Switch the inference forward pass between f32 and int8. Invalidates
-    /// the cached snapshot so the next estimate rebuilds it with (or
-    /// without) the quantized weight panels; training and checkpoints are
-    /// unaffected — quantization exists only inside the snapshot.
-    pub fn set_quant_mode(&mut self, mode: QuantMode) {
-        if self.cfg.serve.quant != mode {
-            self.cfg.serve.quant = mode;
-            self.est.lock().raw = None;
-        }
-    }
-
-    /// The configured numeric mode of the inference forward pass.
-    pub fn quant_mode(&self) -> QuantMode {
-        self.cfg.serve.quant
     }
 
     /// Drop the cached inference snapshot so the next estimate rebuilds it.

@@ -54,8 +54,8 @@
 //!   share this one path, and its buffers are O(S + domain + prefixes).
 //!
 //!   Child ids are numbered parent by parent. Any numbering is exact: a
-//!   prefix id only picks a row of the stacked input, and the forward, the
-//!   softmax and the int8 quantizer compute each row from that row alone.
+//!   prefix id only picks a row of the stacked input, and the forward and
+//!   the softmax compute each row from that row alone.
 //!
 //! * **Query sharding.** Queries never interact: each has its own RNG and
 //!   the forward is row-independent. A batch of `n` queries is therefore
@@ -116,16 +116,6 @@ impl BatchScratch {
     /// Fresh, empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Numeric mode of the model forward pass driven through this scratch
-    /// and its shard scratches. Must match the mode the [`RawModel`]
-    /// snapshot was built with.
-    pub fn set_quant_mode(&mut self, mode: uae_tensor::QuantMode) {
-        self.walk.model.set_quant_mode(mode);
-        for shard in &mut self.shards {
-            shard.get_mut().model.set_quant_mode(mode);
-        }
     }
 }
 
@@ -231,13 +221,8 @@ pub fn progressive_sample_batch_sharded(
     if k == 1 {
         return walk(raw, schema, vqs, seeds, s, 0, 1, &mut scratch.walk);
     }
-    let mode = scratch.walk.model.quant_mode();
     if scratch.shards.len() < k {
-        scratch.shards.resize_with(k, || {
-            let mut shard = WalkScratch::default();
-            shard.model.set_quant_mode(mode);
-            Mutex::new(shard)
-        });
+        scratch.shards.resize_with(k, Mutex::default);
     }
     let shard_scratch = &scratch.shards;
     // A panicking shard re-raises here, after every other shard finished.

@@ -82,5 +82,4 @@ pub use telemetry::{
     EpochMetrics, Event, FlushReason, JsonlSink, MemorySink, ServeStats, Sink, TrainStats,
 };
 pub use train::{TrainConfig, TrainQuery};
-pub use uae_tensor::QuantMode;
 pub use vquery::VirtualQuery;

@@ -11,10 +11,9 @@
 
 use std::sync::Arc;
 
-use uae_tensor::quant::{self, QuantMatrix, QuantMode};
 use uae_tensor::rng::he_uniform;
 use uae_tensor::simd;
-use uae_tensor::tensor::{add_bias_assign, add_bias_relu_assign, matmul_masked_into};
+use uae_tensor::tensor::{add_bias_assign, matmul_masked_into};
 use uae_tensor::{NodeId, ParamId, ParamStore, Tape, Tensor};
 
 use crate::encoding::{EncodingMode, VirtualSchema};
@@ -285,13 +284,7 @@ impl ResMade {
     }
 
     /// Pre-masked weight snapshot for fast tape-free inference
-    /// (progressive sampling runs many forwards per query). Equivalent to
-    /// [`ResMade::snapshot_with`] in [`QuantMode::F32`].
-    pub fn snapshot(&self, store: &ParamStore) -> RawModel {
-        self.snapshot_with(store, QuantMode::F32)
-    }
-
-    /// Weight snapshot with an explicit inference numeric mode.
+    /// (progressive sampling runs many forwards per query).
     ///
     /// Unless the scalar reference backend is forced (`UAE_FORCE_SCALAR=1`),
     /// the snapshot stores weights in the **packed** layout: hidden units
@@ -304,12 +297,7 @@ impl ResMade {
     /// hidden basis consistently across layers — but it reorders f32
     /// accumulation, so the forced-scalar path keeps the plain layout to
     /// stay bit-identical with the pre-SIMD engine.
-    ///
-    /// With [`QuantMode::Int8`] the snapshot additionally carries
-    /// per-column symmetric int8 panels for every matmul operand
-    /// (inference-only: the [`ParamStore`] and checkpoint bytes are
-    /// untouched). Scratches opt in via [`ModelScratch::set_quant_mode`].
-    pub fn snapshot_with(&self, store: &ParamStore, mode: QuantMode) -> RawModel {
+    pub fn snapshot(&self, store: &ParamStore) -> RawModel {
         let masked = |w: ParamId, m: &Tensor| store.get(w).zip(m, |a, b| a * b);
         let mut w_in = masked(self.w_in, &self.mask_in);
         let mut b_in = store.get(self.b_in).clone();
@@ -383,39 +371,6 @@ impl ResMade {
             self.logit_slices.iter().map(|&(s, e)| w_out.slice_cols(s, e)).collect();
         let b_out_cols = self.logit_slices.iter().map(|&(s, e)| b_out.slice_cols(s, e)).collect();
 
-        let quant = match mode {
-            QuantMode::F32 => None,
-            QuantMode::Int8 => Some(QuantModel {
-                // The packed starts carry over: they bound the per-column
-                // reduction depth of the integer kernels exactly like the
-                // f32 path's prefix skipping, at identical results (the
-                // pruned weights quantize to integer zero).
-                w_in: QuantMatrix::quantize_packed(
-                    &w_in,
-                    w_in.rows(),
-                    packed.as_ref().map(|p| p.start_in.as_slice()),
-                ),
-                blocks: blocks
-                    .iter()
-                    .map(|blk| {
-                        let st = packed.as_ref().map(|p| p.start_h.as_slice());
-                        QuantBlock {
-                            w1: QuantMatrix::quantize_packed(&blk.w1, blk.w1.rows(), st),
-                            w2: QuantMatrix::quantize_packed(&blk.w2, blk.w2.rows(), st),
-                        }
-                    })
-                    .collect(),
-                heads: w_out_cols
-                    .iter()
-                    .enumerate()
-                    .map(|(v, w)| {
-                        let k = packed.as_ref().map_or(w.rows(), |p| p.head_rows[v]);
-                        QuantMatrix::quantize(w, k)
-                    })
-                    .collect(),
-            }),
-        };
-
         RawModel {
             zero_row: Tensor::zeros(1, self.input_width),
             w_in,
@@ -435,7 +390,6 @@ impl ResMade {
                 })
                 .collect(),
             packed,
-            quant,
             first_step: parking_lot::Mutex::new(std::collections::HashMap::new()),
         }
     }
@@ -487,51 +441,12 @@ pub struct ModelScratch {
     t2: Tensor,
     /// Per-column logits (softmaxed in place by the inference drivers).
     pub(crate) logits: Tensor,
-    /// Numeric mode of forwards driven through this scratch. Int8 only
-    /// takes effect when the snapshot carries quantized panels.
-    mode: QuantMode,
-    /// Quantized-activation staging (row-major `rows x padded_k`) and the
-    /// per-row symmetric scales, reused across layers/rounds/queries.
-    qa: Vec<i16>,
-    qscale: Vec<f32>,
 }
 
 impl ModelScratch {
     /// Fresh, empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Select the numeric mode for forwards using this scratch. Int8 is
-    /// honored only when the model snapshot was built with
-    /// [`QuantMode::Int8`]; otherwise forwards silently stay f32.
-    pub fn set_quant_mode(&mut self, mode: QuantMode) {
-        self.mode = mode;
-    }
-
-    /// The configured numeric mode.
-    pub fn quant_mode(&self) -> QuantMode {
-        self.mode
-    }
-}
-
-/// Quantize every row prefix (`..k_limit`) of `x` into `qa` (stride
-/// `padded_k`), recording per-row scales. Plain `Vec` buffers: they grow to
-/// the largest batch seen and are invisible to the tensor allocation
-/// counter, preserving the steady-state zero-alloc guarantee.
-fn quantize_rows(
-    x: &Tensor,
-    k_limit: usize,
-    padded_k: usize,
-    qa: &mut Vec<i16>,
-    qscale: &mut Vec<f32>,
-) {
-    let rows = x.rows();
-    qa.resize(rows * padded_k, 0);
-    qscale.resize(rows, 0.0);
-    for r in 0..rows {
-        qscale[r] =
-            quant::quantize_row(&x.row(r)[..k_limit], &mut qa[r * padded_k..(r + 1) * padded_k]);
     }
 }
 
@@ -556,10 +471,8 @@ pub struct RawModel {
     enc: Vec<Tensor>,
     /// Packed-layout metadata (`None` on the forced-scalar reference path):
     /// dense-suffix starts for the input/hidden matmuls and per-head live
-    /// row prefixes. See [`ResMade::snapshot_with`].
+    /// row prefixes. See [`ResMade::snapshot`].
     packed: Option<Packed>,
-    /// Int8 panels for every matmul operand; `None` for f32 snapshots.
-    quant: Option<QuantModel>,
     /// Memoized first-step distributions, keyed by virtual column: the
     /// first constrained column of every query sees the all-wildcard
     /// (all-zero) input, so its softmaxed logits are identical across all
@@ -584,7 +497,6 @@ impl Clone for RawModel {
             logit_slices: self.logit_slices.clone(),
             enc: self.enc.clone(),
             packed: self.packed.clone(),
-            quant: self.quant.clone(),
             // The memo is derived state; a fresh clone recomputes on demand.
             first_step: parking_lot::Mutex::new(std::collections::HashMap::new()),
         }
@@ -599,7 +511,7 @@ struct RawBlock {
     b2: Tensor,
 }
 
-/// Packed-layout metadata; see [`ResMade::snapshot_with`].
+/// Packed-layout metadata; see [`ResMade::snapshot`].
 #[derive(Debug, Clone)]
 struct Packed {
     /// Per input row: first live (non-masked) hidden column of `w_in`.
@@ -608,20 +520,6 @@ struct Packed {
     start_h: Vec<u32>,
     /// Per virtual column: number of leading hidden rows its head reads.
     head_rows: Vec<usize>,
-}
-
-/// Int8 snapshot panels (inference-only; never serialized).
-#[derive(Debug, Clone)]
-struct QuantModel {
-    w_in: QuantMatrix,
-    blocks: Vec<QuantBlock>,
-    heads: Vec<QuantMatrix>,
-}
-
-#[derive(Debug, Clone)]
-struct QuantBlock {
-    w1: QuantMatrix,
-    w2: QuantMatrix,
 }
 
 impl RawModel {
@@ -635,8 +533,7 @@ impl RawModel {
     }
 
     /// Hidden representation written into `s.h`, reusing every buffer in
-    /// `s`. Bit-exact with [`RawModel::hidden`] for a scratch in the same
-    /// numeric mode (the allocating wrapper always runs f32).
+    /// `s`. Bit-exact with [`RawModel::hidden`].
     pub fn hidden_into(&self, x: &Tensor, s: &mut ModelScratch) {
         self.hidden_prefix_into(x, self.hidden_width(), s)
     }
@@ -658,13 +555,9 @@ impl RawModel {
         self.hidden_prefix_into(x, self.head_rows(v), s)
     }
 
-    /// The one hidden forward: f32 over units `..units` (a degree-closed
-    /// prefix: the full width or a head's `head_rows`), or the full-width
-    /// int8 forward.
+    /// The one hidden forward, over units `..units` (a degree-closed
+    /// prefix: the full width or a head's `head_rows`).
     fn hidden_prefix_into(&self, x: &Tensor, units: usize, s: &mut ModelScratch) {
-        if s.mode == QuantMode::Int8 && self.quant.is_some() {
-            return self.hidden_into_quant(x, s);
-        }
         let (si, sh) = match &self.packed {
             Some(p) => (Some(p.start_in.as_slice()), Some(p.start_h.as_slice())),
             None => (None, None),
@@ -698,47 +591,6 @@ impl RawModel {
         }
     }
 
-    /// Int8 forward: weights come from the snapshot panels, activations are
-    /// re-quantized per row before each matmul, accumulation is exact i32,
-    /// and all epilogues (bias, ReLU, residual) stay f32.
-    ///
-    /// It always runs the full width, also for the sampler's per-column
-    /// rounds. Each row's activation scale is the max over every unit the
-    /// next layer reads, so computing only a head's prefix would quantize
-    /// the prefix against a different scale and change its answers.
-    fn hidden_into_quant(&self, x: &Tensor, s: &mut ModelScratch) {
-        let q = self.quant.as_ref().expect("quant panels checked by caller");
-        let rows = x.rows();
-        let hidden = self.b_in.cols();
-        let ModelScratch { h, t, t2, qa, qscale, .. } = s;
-
-        quantize_rows(x, q.w_in.k_limit(), q.w_in.padded_k(), qa, qscale);
-        h.resize(rows, hidden);
-        let pk = q.w_in.padded_k();
-        for r in 0..rows {
-            quant::qmatmul_row(&qa[r * pk..(r + 1) * pk], &q.w_in, qscale[r], h.row_mut(r));
-        }
-        add_bias_relu_assign(h, &self.b_in);
-        for (blk, qb) in self.blocks.iter().zip(&q.blocks) {
-            quantize_rows(h, qb.w1.k_limit(), qb.w1.padded_k(), qa, qscale);
-            t.resize(rows, hidden);
-            let pk = qb.w1.padded_k();
-            for r in 0..rows {
-                quant::qmatmul_row(&qa[r * pk..(r + 1) * pk], &qb.w1, qscale[r], t.row_mut(r));
-            }
-            add_bias_relu_assign(t, &blk.b1);
-            quantize_rows(t, qb.w2.k_limit(), qb.w2.padded_k(), qa, qscale);
-            t2.resize(rows, hidden);
-            let pk = qb.w2.padded_k();
-            for r in 0..rows {
-                quant::qmatmul_row(&qa[r * pk..(r + 1) * pk], &qb.w2, qscale[r], t2.row_mut(r));
-            }
-            add_bias_assign(t2, &blk.b2);
-            h.add_assign(t2);
-        }
-        h.map_in_place(|v| v.max(0.0));
-    }
-
     /// Logits of one virtual column given hidden states. Allocating
     /// convenience wrapper around [`RawModel::logits_col_into`].
     pub fn logits_col(&self, hidden: &Tensor, v: usize) -> Tensor {
@@ -753,26 +605,6 @@ impl RawModel {
     /// degree can legally read — so no slicing, no allocation, and no
     /// structurally-zero multiplies happen per call.
     pub fn logits_col_into(&self, v: usize, s: &mut ModelScratch) {
-        if s.mode == QuantMode::Int8 {
-            if let Some(q) = &self.quant {
-                let head = &q.heads[v];
-                let rows = s.h.rows();
-                let (pk, kl) = (head.padded_k(), head.k_limit());
-                let ModelScratch { h, logits, qa, qscale, .. } = s;
-                quantize_rows(h, kl, pk, qa, qscale);
-                logits.resize(rows, head.cols());
-                for r in 0..rows {
-                    quant::qmatmul_row(
-                        &qa[r * pk..(r + 1) * pk],
-                        head,
-                        qscale[r],
-                        logits.row_mut(r),
-                    );
-                }
-                add_bias_assign(logits, &self.b_out_cols[v]);
-                return;
-            }
-        }
         let k_limit = self.head_rows(v);
         let ModelScratch { h, logits, .. } = s;
         let w = &self.w_out_cols[v];

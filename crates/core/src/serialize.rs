@@ -313,6 +313,11 @@ pub fn load_checkpoint(bytes: &[u8]) -> Result<CheckpointState, LoadError> {
     let weights = r.take(weights_len)?.to_vec();
     let adam_t = r.u64()?;
     let moments = r.u32()? as usize;
+    // Unverified until the checksum: a count the payload cannot hold (a pair
+    // takes two 8-byte tensor headers at least) must not size an allocation.
+    if moments > (payload.len() - r.pos) / 16 {
+        return Err(LoadError::Corrupt("moment count overflows blob"));
+    }
     let mut adam_m = Vec::with_capacity(moments);
     let mut adam_v = Vec::with_capacity(moments);
     for _ in 0..moments {
@@ -436,6 +441,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn store() -> ParamStore {
         let mut s = ParamStore::new();
@@ -575,6 +581,37 @@ mod tests {
         bad_sum[last] ^= 0x01;
         assert_eq!(load_checkpoint(&bad_sum), Err(LoadError::ChecksumMismatch));
         load_checkpoint(&clean).expect("clean blob loads");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Mutation fuzz of the checkpoint parser: overwrite, truncate or
+        /// extend a valid payload, then re-seal it so the mutation gets
+        /// past the checksum into the field parser. Loading must return a
+        /// typed result (a panic or an abort fails the test), and whatever
+        /// it accepts must re-save to the very same bytes.
+        #[test]
+        fn checkpoint_decode_survives_mutated_payloads(
+            edits in proptest::collection::vec((0u8..3, any::<u32>(), any::<u8>()), 1..=6),
+        ) {
+            let sealed = save_checkpoint(&checkpoint());
+            let mut payload = open_blob(&sealed, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+                .expect("valid blob")
+                .to_vec();
+            for (kind, pos, byte) in edits {
+                let at = pos as usize % (payload.len() + 1);
+                match kind {
+                    0 if at < payload.len() => payload[at] = byte,
+                    1 => payload.truncate(at),
+                    _ => payload.insert(at, byte),
+                }
+            }
+            let blob = seal_blob(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &payload);
+            if let Ok(ck) = load_checkpoint(&blob) {
+                prop_assert_eq!(save_checkpoint(&ck), blob);
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@
 
 use uae_data::Table;
 use uae_query::{EstimatorFamily, Query, QueryRegion};
-use uae_tensor::QuantMode;
 
 /// A query the serving layer refuses to estimate. Unknown columns are the
 /// only hard rejection: every other malformed shape (empty ranges,
@@ -224,11 +223,6 @@ pub struct ServeConfig {
     pub fallback_buckets: usize,
     /// Deterministic fault injection (inert by default).
     pub fault: FaultPlan,
-    /// Numeric mode of the inference forward pass. `QuantMode::Int8`
-    /// quantizes the snapshot's weights per column at swap time and runs the
-    /// matmuls in int8 with f32 accumulation; training is always f32 and
-    /// checkpoint bytes never change. Gated by the q-error parity suite.
-    pub quant: QuantMode,
 }
 
 impl Default for ServeConfig {
@@ -239,7 +233,6 @@ impl Default for ServeConfig {
             retry_boost: 4,
             fallback_buckets: 64,
             fault: FaultPlan::default(),
-            quant: QuantMode::F32,
         }
     }
 }

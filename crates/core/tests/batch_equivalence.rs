@@ -15,7 +15,7 @@ use uae_core::infer_batch::{progressive_sample_batch_sharded, BatchScratch};
 use uae_core::model::RawModel;
 use uae_core::serialize::load_params;
 use uae_core::vquery::VirtualQuery;
-use uae_core::{QuantMode, ResMade, ResMadeConfig, TrainConfig, Uae, UaeConfig, VirtualSchema};
+use uae_core::{ResMade, ResMadeConfig, TrainConfig, Uae, UaeConfig, VirtualSchema};
 use uae_data::{census_like, Table, Value};
 use uae_query::{generate_workload, Predicate, Query, WorkloadSpec};
 use uae_tensor::ParamStore;
@@ -190,13 +190,13 @@ fn first_step_cache_refreshes_after_training() {
 /// walk.
 const SHARD_COUNTS: std::ops::RangeInclusive<usize> = 1..=5;
 
-/// A snapshot of `uae`'s trained weights in `mode` (the estimator's own
-/// snapshot is private).
-fn snapshot_of(uae: &Uae, cfg: &UaeConfig, mode: QuantMode) -> RawModel {
+/// A snapshot of `uae`'s trained weights (the estimator's own snapshot is
+/// private).
+fn snapshot_of(uae: &Uae, cfg: &UaeConfig) -> RawModel {
     let mut store = ParamStore::new();
     let model = ResMade::new(&mut store, uae.schema(), &cfg.model);
     load_params(&mut store, &uae.save_weights()).expect("same architecture");
-    model.snapshot_with(&store, mode)
+    model.snapshot(&store)
 }
 
 fn seeds_for(n: usize, base: u64) -> Vec<u64> {
@@ -204,35 +204,22 @@ fn seeds_for(n: usize, base: u64) -> Vec<u64> {
 }
 
 /// The sequential oracle (one `progressive_sample` per query) against
-/// the batched sampler at every shard count, bit for bit. The scalar
-/// oracle only runs f32 forwards, so under int8 each query runs alone, as
-/// an unsharded batch of one. One scratch serves every call and the sweep
-/// runs twice, so warm shard scratches are reused across shard counts.
+/// the batched sampler at every shard count, bit for bit. One scratch
+/// serves every call and the sweep runs twice, so warm shard scratches are
+/// reused across shard counts.
 fn assert_shard_invariant(
     raw: &RawModel,
     schema: &VirtualSchema,
     vqs: &[VirtualQuery],
     s: usize,
     seeds: &[u64],
-    mode: QuantMode,
 ) -> Vec<f64> {
-    let mut alone = BatchScratch::new();
-    alone.set_quant_mode(mode);
     let sequential: Vec<f64> = vqs
         .iter()
         .zip(seeds)
-        .map(|(vq, &seed)| match mode {
-            QuantMode::F32 => {
-                progressive_sample(raw, schema, vq, s, &mut StdRng::seed_from_u64(seed))
-            }
-            QuantMode::Int8 => {
-                let one = std::slice::from_ref(vq);
-                progressive_sample_batch_sharded(raw, schema, one, s, &[seed], 1, &mut alone)[0]
-            }
-        })
+        .map(|(vq, &seed)| progressive_sample(raw, schema, vq, s, &mut StdRng::seed_from_u64(seed)))
         .collect();
     let mut scratch = BatchScratch::new();
-    scratch.set_quant_mode(mode);
     for pass in 0..2 {
         for k in SHARD_COUNTS {
             let got = progressive_sample_batch_sharded(raw, schema, vqs, s, seeds, k, &mut scratch);
@@ -268,11 +255,11 @@ fn sharded_batches_match_sequential_on_mixed_workload() {
     for at in [0, 7, 30] {
         queries.insert(at, Query::default());
     }
-    let raw = snapshot_of(&uae, &cfg, QuantMode::F32);
+    let raw = snapshot_of(&uae, &cfg);
     let vqs: Vec<VirtualQuery> = queries.iter().map(|q| uae.translate(q)).collect();
     assert!(vqs[4].is_empty(), "the out-of-domain query must translate to an empty region");
     let seeds = seeds_for(vqs.len(), 0x5eed);
-    let sels = assert_shard_invariant(&raw, uae.schema(), &vqs, 120, &seeds, QuantMode::F32);
+    let sels = assert_shard_invariant(&raw, uae.schema(), &vqs, 120, &seeds);
     assert_eq!(sels[4], 0.0);
     assert_eq!(sels[0], 1.0);
     assert!(sels.iter().any(|&s| s > 0.0 && s < 1.0), "degenerate workload");
@@ -304,40 +291,11 @@ fn sharded_batches_match_sequential_with_split_columns() {
         ]));
     }
     queries.insert(9, Query::default());
-    let raw = snapshot_of(&uae, &cfg, QuantMode::F32);
+    let raw = snapshot_of(&uae, &cfg);
     let vqs: Vec<VirtualQuery> = queries.iter().map(|q| uae.translate(q)).collect();
     assert!(uae.schema().num_virtual() > t.num_cols(), "the wide column must be factorized");
     let seeds = seeds_for(vqs.len(), 0x5b1);
-    assert_shard_invariant(&raw, uae.schema(), &vqs, 120, &seeds, QuantMode::F32);
-}
-
-/// The int8 forward is row-independent like the f32 one, so sharding is
-/// invisible under `QuantMode::Int8` too. Shard scratches take the mode
-/// whether they exist before `set_quant_mode` or are created after it.
-#[test]
-fn sharded_batches_match_sequential_under_int8() {
-    let t = census_like(900, 19);
-    let cfg = UaeConfig { estimate_samples: 150, ..quick_cfg() };
-    let mut uae = Uae::new(&t, cfg.clone());
-    uae.train_data(1);
-    let workload = generate_workload(&t, &WorkloadSpec::random(30, 47), &HashSet::new());
-    let vqs: Vec<VirtualQuery> = workload.iter().map(|lq| uae.translate(&lq.query)).collect();
-    let raw = snapshot_of(&uae, &cfg, QuantMode::Int8);
-    let seeds = seeds_for(vqs.len(), 0x1e8);
-    let int8 = assert_shard_invariant(&raw, uae.schema(), &vqs, 150, &seeds, QuantMode::Int8);
-
-    // Shards created in f32, switched to int8 afterwards.
-    let mut scratch = BatchScratch::new();
-    let f32_sels =
-        progressive_sample_batch_sharded(&raw, uae.schema(), &vqs, 150, &seeds, 4, &mut scratch);
-    scratch.set_quant_mode(QuantMode::Int8);
-    let switched =
-        progressive_sample_batch_sharded(&raw, uae.schema(), &vqs, 150, &seeds, 4, &mut scratch);
-    assert!(int8.iter().zip(&switched).all(|(a, b)| a.to_bits() == b.to_bits()));
-    assert!(
-        int8.iter().zip(&f32_sels).any(|(a, b)| a.to_bits() != b.to_bits()),
-        "int8 and f32 forwards should differ somewhere, or this test proves nothing"
-    );
+    assert_shard_invariant(&raw, uae.schema(), &vqs, 120, &seeds);
 }
 
 /// Weighted (fanout-scaled) steps, as `JoinUae` translates unjoined
@@ -375,7 +333,7 @@ fn sharded_batches_match_sequential_with_weighted_steps() {
     vqs.insert(6, dead);
 
     let seeds = seeds_for(vqs.len(), 0xfeed);
-    let sels = assert_shard_invariant(&raw, &schema, &vqs, 150, &seeds, QuantMode::F32);
+    let sels = assert_shard_invariant(&raw, &schema, &vqs, 150, &seeds);
     assert_eq!(sels[6], 0.0);
 }
 
@@ -421,13 +379,13 @@ fn all_killed_queries_match_sequential_next_to_live_ones() {
     vqs.insert(13, dies_first.clone());
 
     let seeds = seeds_for(vqs.len(), 0xdead);
-    let sels = assert_shard_invariant(&raw, &schema, &vqs, 150, &seeds, QuantMode::F32);
+    let sels = assert_shard_invariant(&raw, &schema, &vqs, 150, &seeds);
     assert_eq!(sels[4], 0.0);
     assert_eq!(sels[13], 0.0);
     assert!(sels.iter().filter(|&&s| s > 0.0).count() >= 18, "live queries must stay live");
 
     let dead = vec![dies_late, dies_first, vqs[4].clone()];
     let seeds = seeds_for(dead.len(), 0xd1e);
-    let sels = assert_shard_invariant(&raw, &schema, &dead, 150, &seeds, QuantMode::F32);
+    let sels = assert_shard_invariant(&raw, &schema, &dead, 150, &seeds);
     assert!(sels.iter().all(|&s| s == 0.0));
 }

@@ -248,6 +248,35 @@ fn truncated_checkpoint_file_is_rejected_with_a_typed_error() {
 }
 
 #[test]
+fn bit_flipped_moment_count_is_a_typed_error() {
+    // The Adam moment count is read before the checksum is checked, so a
+    // flipped high bit must be refused before it sizes an allocation.
+    // Layout: magic, version, weights length, weights, Adam step, count.
+    let (t, w) = setup();
+    let mut a = Uae::new(&t, quick_cfg(13));
+    a.train_hybrid(&w, 1);
+    let blob = a.save_checkpoint();
+    let weights_len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
+    let count_at = 12 + weights_len + 8;
+
+    let mut b = Uae::new(&t, quick_cfg(13));
+    let pristine = b.save_weights();
+    for bit in 0..32 {
+        let mut bad = blob.clone();
+        bad[count_at + bit / 8] ^= 1 << (bit % 8);
+        assert!(
+            matches!(
+                b.load_checkpoint(&bad),
+                Err(LoadError::Corrupt(_) | LoadError::ChecksumMismatch)
+            ),
+            "flip of count bit {bit} must be a typed error"
+        );
+    }
+    assert_eq!(b.save_weights(), pristine, "no rejection may touch the model");
+    b.load_checkpoint(&blob).expect("the pristine blob still loads");
+}
+
+#[test]
 fn checkpoint_corruption_matrix_always_yields_typed_errors() {
     // The exhaustive reader-robustness drill: every prefix truncation and
     // a dense stride of single-byte flips over a real UAEC blob must come

@@ -308,6 +308,7 @@ fn parse_literal(toks: &[Tok], pos: usize) -> Result<Value, ParseError> {
 mod tests {
     use super::*;
     use crate::executor::Executor;
+    use proptest::prelude::*;
 
     fn table() -> Table {
         Table::from_columns(
@@ -417,6 +418,54 @@ mod tests {
             parse_query(&t, "age = 99999999999999999999999"),
             Err(ParseError::Unexpected { expected: "integer", .. })
         ));
+    }
+
+    /// The grammar's alphabet by role (column, operator, literal,
+    /// connective), weighted towards valid fragments and with characters
+    /// outside it mixed in. Fragments are separated by single spaces.
+    const ROLES: [&str; 4] = [
+        "age name age name age Age bogus 名前",
+        "= != <> < <= > >= = < > IN !",
+        "0 7 42 -3 'Tim' \"Paul\" '' 7 - ' 99999999999999999999 (1,2) ('James',-4) é",
+        "AND and OR or AND OR ß ;",
+    ];
+    const SEPARATORS: [&str; 6] = [" ", " ", " ", "", "\t", "\n"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Token soup from the grammar's alphabet. Token `i` mostly takes
+        /// role `i % 4` and half the inputs end on a literal, so
+        /// well-formed expressions come up often; one token in sixteen
+        /// takes a random role. Both entry points return `Ok` or `Err`
+        /// without panicking, and every accepted predicate names a real
+        /// column.
+        #[test]
+        fn parser_survives_token_soup(
+            mut picks in proptest::collection::vec(
+                (0u8..16, 0usize..4, 0usize..64, 0..SEPARATORS.len()),
+                0..=24,
+            ),
+            end_on_literal in any::<bool>(),
+        ) {
+            if end_on_literal {
+                picks.truncate(((picks.len() + 1) / 4 * 4).saturating_sub(1));
+            }
+            let t = table();
+            let mut input = String::new();
+            for (i, &(noise, role, f, sep)) in picks.iter().enumerate() {
+                let role = if noise == 0 { role } else { i % 4 };
+                let fragments: Vec<&str> = ROLES[role].split(' ').collect();
+                input += fragments[f % fragments.len()];
+                input += SEPARATORS[sep];
+            }
+            let single = parse_query(&t, &input).map(|q| vec![q]);
+            for queries in [single, parse_disjunction(&t, &input)].into_iter().flatten() {
+                for p in queries.iter().flat_map(|q| &q.predicates) {
+                    prop_assert!(p.column < t.num_cols(), "`{}` gave column {}", input, p.column);
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   queue with typed [`SubmitError::Overloaded`] backpressure, one
 //!   dispatcher, a pool of batch executors driving
 //!   [`uae_core::Uae::try_estimate_cards_with`] so the full fallback
-//!   cascade and the quantized kernels apply per micro-batch, and a
-//!   latency-SLO degradation ladder that shrinks the progressive-sample
-//!   budget under load (tagged [`uae_core::EstimateSource::ModelDegraded`]).
+//!   cascade applies per micro-batch, and a latency-SLO degradation
+//!   ladder that shrinks the progressive-sample budget under load
+//!   (tagged [`uae_core::EstimateSource::ModelDegraded`]).
 //! * [`OnlineLearner`] — the background `uae-online` thread closing the
 //!   query-driven loop: it drives [`uae_core::OnlineTrainer`] rounds
 //!   over a shared [`uae_core::QueryPool`] of executed queries and

@@ -1,7 +1,7 @@
 //! The durable tenant manifest: `manifest.uaem`, a versioned, checksummed,
 //! atomically-rewritten snapshot of the registry's serving state — one
 //! entry per tenant carrying the current model version, its checkpoint
-//! file, the quantization mode, and the fleet routing policy.
+//! file, and the fleet routing policy.
 //!
 //! The manifest answers the cold-start question "what was live?"; the
 //! write-ahead promotion journal ([`uae_core::Journal`]) answers "what was
@@ -11,17 +11,18 @@
 //! The format (`UAEM`, version 1) reuses the sealed-blob envelope of the
 //! `UAEW`/`UAEC` family: magic + version + payload + trailing FNV-1a
 //! checksum, rejected with typed [`LoadError`]s on any truncation or bit
-//! flip. Every rewrite goes through [`uae_core::persist_bytes`] — temp
-//! file, fsync, rename, parent-directory fsync — so a crash mid-rewrite
-//! leaves the previous manifest intact.
+//! flip. Each entry keeps a one-byte numeric-mode tag from when serving
+//! had an int8 forward: the writer always writes `0`, and the reader
+//! accepts `0` or `1` and ignores it, so older manifests still recover
+//! (served in f32). Every rewrite goes through [`uae_core::persist_bytes`]
+//! — temp file, fsync, rename, parent-directory fsync — so a crash
+//! mid-rewrite leaves the previous manifest intact.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use uae_core::serialize::{open_blob, seal_blob, Reader};
-use uae_core::{
-    persist_bytes, BackendChoice, DiskFaults, LoadError, PersistError, QuantMode, RoutePolicy,
-};
+use uae_core::{persist_bytes, BackendChoice, DiskFaults, LoadError, PersistError, RoutePolicy};
 
 /// File name of the tenant manifest inside a state directory.
 pub const MANIFEST_FILE: &str = "manifest.uaem";
@@ -37,8 +38,6 @@ pub struct ManifestEntry {
     /// Checkpoint file of that version, relative to the state directory
     /// (`None` for a seed model that was never checkpointed).
     pub checkpoint: Option<String>,
-    /// The tenant's inference quantization mode.
-    pub quant: QuantMode,
     /// The fleet routing policy, if a router is installed. Only the
     /// policy is serializable — backends are rebuilt by the host at
     /// recovery time.
@@ -92,10 +91,7 @@ impl Manifest {
                 }
                 None => p.push(0),
             }
-            p.push(match e.quant {
-                QuantMode::F32 => 0,
-                QuantMode::Int8 => 1,
-            });
+            p.push(0); // numeric-mode tag: always f32
             match &e.router {
                 None => p.push(0),
                 Some(RoutePolicy::Threshold { independent_backend }) => {
@@ -133,11 +129,11 @@ impl Manifest {
                 1 => Some(r.str_field()?.to_owned()),
                 _ => return Err(LoadError::Corrupt("bad checkpoint tag")),
             };
-            let quant = match r.u8()? {
-                0 => QuantMode::F32,
-                1 => QuantMode::Int8,
-                _ => return Err(LoadError::Corrupt("bad quant tag")),
-            };
+            // Numeric-mode tag: `1` (int8) was written by older versions
+            // and is served in f32 like `0`.
+            if r.u8()? > 1 {
+                return Err(LoadError::Corrupt("bad quant tag"));
+            }
             let router = match r.u8()? {
                 0 => None,
                 1 => Some(RoutePolicy::Threshold { independent_backend: r.u32()? as usize }),
@@ -154,7 +150,7 @@ impl Manifest {
                 }
                 _ => return Err(LoadError::Corrupt("bad router tag")),
             };
-            entries.insert(tenant, ManifestEntry { version, checkpoint, quant, router });
+            entries.insert(tenant, ManifestEntry { version, checkpoint, router });
         }
         if !r.done() {
             return Err(LoadError::Corrupt("trailing bytes"));
@@ -201,7 +197,6 @@ mod tests {
             ManifestEntry {
                 version: 3,
                 checkpoint: Some("census_v3.uaec".to_owned()),
-                quant: QuantMode::F32,
                 router: Some(RoutePolicy::Threshold { independent_backend: 1 }),
             },
         );
@@ -210,7 +205,6 @@ mod tests {
             ManifestEntry {
                 version: 0,
                 checkpoint: None,
-                quant: QuantMode::Int8,
                 router: Some(RoutePolicy::Calibrated {
                     default: BackendChoice::Primary,
                     by_class: BTreeMap::from([
@@ -229,6 +223,36 @@ mod tests {
         assert_eq!(Manifest::decode(&m.encode()).expect("decode"), m);
         let empty = Manifest::default();
         assert_eq!(Manifest::decode(&empty.encode()).expect("decode"), empty);
+    }
+
+    /// A one-tenant `UAEM` v1 payload, built field by field, with the given
+    /// numeric-mode tag.
+    fn hand_built_payload(quant_tag: u8) -> Vec<u8> {
+        let mut p = Vec::new();
+        p.extend_from_slice(&4u64.to_le_bytes()); // seq
+        p.extend_from_slice(&1u32.to_le_bytes()); // entry count
+        p.extend_from_slice(&3u32.to_le_bytes());
+        p.extend_from_slice(b"dmv");
+        p.extend_from_slice(&2u64.to_le_bytes()); // version
+        p.push(1); // checkpoint present
+        p.extend_from_slice(&11u32.to_le_bytes());
+        p.extend_from_slice(b"dmv_v2.uaec");
+        p.extend_from_slice(&[quant_tag, 0]); // numeric mode, no router
+        p
+    }
+
+    #[test]
+    fn manifest_with_int8_tag_decodes_and_rewrites_as_f32() {
+        let blob = seal_blob(MAGIC, VERSION, &hand_built_payload(1));
+        let m = Manifest::decode(&blob).expect("tag 1 decodes");
+        let entry =
+            ManifestEntry { version: 2, checkpoint: Some("dmv_v2.uaec".to_owned()), router: None };
+        assert_eq!(m, Manifest { seq: 4, entries: BTreeMap::from([("dmv".to_owned(), entry)]) });
+        assert_eq!(m.encode(), seal_blob(MAGIC, VERSION, &hand_built_payload(0)));
+        assert_eq!(
+            Manifest::decode(&seal_blob(MAGIC, VERSION, &hand_built_payload(2))),
+            Err(LoadError::Corrupt("bad quant tag"))
+        );
     }
 
     #[test]

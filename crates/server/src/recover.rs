@@ -27,8 +27,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use uae_core::{
-    quarantine, DiskFaults, Event, Journal, JournalRecord, PersistError, QuantMode, RoutePolicy,
-    Sink, Uae, JOURNAL_FILE,
+    quarantine, DiskFaults, Event, Journal, JournalRecord, PersistError, RoutePolicy, Sink, Uae,
+    JOURNAL_FILE,
 };
 
 use crate::manifest::Manifest;
@@ -74,8 +74,6 @@ pub struct TenantRecovery {
     /// (via [`Registry::set_router`]) rather than installed blind; until
     /// it does, the tenant serves on its primary model only.
     pub router: Option<RoutePolicy>,
-    /// Quantization mode restored from the manifest.
-    pub quant: QuantMode,
 }
 
 /// Everything [`recover_registry`] did, for assertions and telemetry.
@@ -280,14 +278,10 @@ pub fn recover_registry(
                 }
             }
         }
-        let (mut model, version, checkpoint, source) =
+        let (model, version, checkpoint, source) =
             recovered.unwrap_or((base, 0, None, RecoverySource::Seed));
 
-        let (quant, router) = match manifest_entry {
-            Some(e) => (e.quant, e.router.clone()),
-            None => (QuantMode::F32, None),
-        };
-        model.set_quant_mode(quant);
+        let router = manifest_entry.and_then(|e| e.router.clone());
         registry.register_full(tenant.clone(), model, None, version, checkpoint.clone());
 
         emit(
@@ -307,7 +301,6 @@ pub fn recover_registry(
             source,
             quarantined: quarantined_here,
             router,
-            quant,
         });
     }
 

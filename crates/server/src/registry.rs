@@ -197,7 +197,7 @@ impl DegradeConfig {
 
 /// One registered tenant: a named model swap point plus its degradation
 /// policy. The tenant's serving configuration (validation, fallback
-/// cascade, quantization, fault plan) travels inside the `Uae` itself.
+/// cascade, fault plan) travels inside the `Uae` itself.
 pub struct Tenant {
     name: String,
     /// Stable dense index — the micro-batcher lane this tenant batches in.
@@ -272,7 +272,6 @@ impl Tenant {
         ManifestEntry {
             version: self.version(),
             checkpoint: self.checkpoint(),
-            quant: self.model().serve_config().quant,
             router: self.router().map(|r| r.policy().clone()),
         }
     }

@@ -17,10 +17,10 @@
 //!   enqueues a [`BatchJob`] for the executors.
 //! * **Executors** (a small pool) run each job through
 //!   [`Uae::try_estimate_cards_with`] — so the whole validation → sample →
-//!   retry → baseline → clamp cascade and the quantized kernels apply per
-//!   micro-batch — and fill every request's reply slot. A panic in the
-//!   batch attempt is caught; only that batch's requests see
-//!   [`ServerError::ExecutorPanic`], and the executor thread survives.
+//!   retry → baseline → clamp cascade applies per micro-batch — and fill
+//!   every request's reply slot. A panic in the batch attempt is caught;
+//!   only that batch's requests see [`ServerError::ExecutorPanic`], and
+//!   the executor thread survives.
 //!
 //! [`Server::shutdown`] closes the submission channel, lets the
 //! dispatcher drain every pending request as final `Drain`-reason

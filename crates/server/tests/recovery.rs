@@ -154,6 +154,43 @@ fn recovery_falls_back_to_last_good_version_and_quarantines_corrupt() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A manifest written while serving still had an int8 mode carries numeric
+/// tag `1`. It must still decode, and its tenant recovers from the named
+/// checkpoint and serves the same f32 answers as the saved model.
+#[test]
+fn manifest_with_int8_tag_recovers_in_f32() {
+    let dir = tmp_dir("int8_tag");
+    let table = small_table();
+    let saved = seed_model(&table);
+    saved.write_checkpoint_file(dir.join("census_v3.uaec")).expect("write checkpoint");
+
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&1u64.to_le_bytes()); // seq
+    payload.extend_from_slice(&1u32.to_le_bytes()); // entry count
+    payload.extend_from_slice(&6u32.to_le_bytes());
+    payload.extend_from_slice(b"census");
+    payload.extend_from_slice(&3u64.to_le_bytes()); // version
+    payload.push(1); // checkpoint present
+    payload.extend_from_slice(&14u32.to_le_bytes());
+    payload.extend_from_slice(b"census_v3.uaec");
+    payload.push(1); // numeric-mode tag: int8
+    payload.push(0); // no router
+    let blob = uae_core::serialize::seal_blob(b"UAEM", 1, &payload);
+    std::fs::write(Manifest::path_in(&dir), blob).expect("write manifest");
+
+    let mut builder = |name: &str| (name == "census").then(|| seed_model(&table));
+    let (registry, report) =
+        recover_registry(&dir, &mut builder, None, None).expect("recovery succeeds");
+    assert!(report.manifest_ok && report.quarantined.is_empty());
+    assert_eq!(report.tenants[0].source, RecoverySource::Manifest);
+    let tenant = registry.get("census").expect("tenant recovered");
+    assert_eq!(tenant.version(), 3);
+    assert_eq!(tenant.model().save_weights(), saved.save_weights());
+    assert_eq!(probe(&tenant.model(), &table), probe(&saved, &table));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A torn journal tail (crash mid-append) is detected, quarantined as
 /// evidence, and the valid prefix still proves the committed versions.
 #[test]

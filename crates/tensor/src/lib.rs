@@ -22,7 +22,6 @@
 pub mod check;
 pub mod optim;
 pub mod pool;
-pub mod quant;
 pub mod rng;
 pub mod simd;
 pub mod tape;
@@ -30,7 +29,6 @@ pub mod tensor;
 
 pub use optim::{Adam, AdamState, Optimizer, Sgd};
 pub use pool::{configure_pool_threads, pool_threads};
-pub use quant::{QuantMatrix, QuantMode};
 pub use simd::Backend;
 pub use tape::{GradStore, NodeId, ParamId, ParamStore, Tape, TapePlan, TapeWorkspace};
 pub use tensor::{tensor_alloc_count, Tensor};

@@ -19,9 +19,9 @@
 //! The backend is picked **once** at first use from `UAE_FORCE_SCALAR`, the
 //! `UAE_SIMD` override (`scalar` | `portable` | `avx2`), and
 //! `is_x86_feature_detected!`; benches flip it explicitly via
-//! [`set_backend`] to build scalar → SIMD → int8 trajectories in one
-//! process. Matrix-level dispatch lives in [`crate::tensor`]; model-level
-//! packing (mask-aware column pruning) lives in `uae-core`, which feeds the
+//! [`set_backend`] to build scalar → SIMD trajectories in one process.
+//! Matrix-level dispatch lives in [`crate::tensor`]; model-level packing
+//! (mask-aware column pruning) lives in `uae-core`, which feeds the
 //! per-row `starts` offsets into [`matmul_row`].
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -141,16 +141,6 @@ impl Tensor {
         Tensor::from_vec(1, 1, vec![value])
     }
 
-    /// A `r x 1` column vector.
-    pub fn col_vec(values: &[f32]) -> Self {
-        Tensor::from_vec(values.len(), 1, values.to_vec())
-    }
-
-    /// A `1 x c` row vector.
-    pub fn row_vec(values: &[f32]) -> Self {
-        Tensor::from_vec(1, values.len(), values.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -391,13 +381,6 @@ impl Tensor {
         Tensor { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// Elementwise map in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Elementwise binary zip into a new tensor.
     ///
     /// # Panics
@@ -476,42 +459,11 @@ impl Tensor {
         }
     }
 
-    /// Copy of rows `start..end`.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Tensor {
-        assert!(start <= end && end <= self.rows, "slice_rows out of range");
-        note_alloc((end - start) * self.cols);
-        Tensor {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
-        }
-    }
-
-    /// New tensor whose row `i` is `self.row(idx[i])`. Used by the batched
-    /// inference engine to broadcast deduplicated forward results back to
-    /// their sample rows and to compact away dead samples.
-    pub fn gather_rows(&self, idx: &[usize]) -> Tensor {
-        let mut out = Tensor::zeros(idx.len(), self.cols);
-        for (o, &src) in idx.iter().enumerate() {
-            out.row_mut(o).copy_from_slice(self.row(src));
-        }
-        out
-    }
-
     /// Row-wise numerically stable log-softmax.
     pub fn log_softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
         for r in 0..self.rows {
             log_softmax_in_place(out.row_mut(r));
-        }
-        out
-    }
-
-    /// Sum across columns, producing an `r x 1` tensor.
-    pub fn row_sums(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out.data[r] = self.row(r).iter().sum();
         }
         out
     }
@@ -685,16 +637,6 @@ pub fn add_bias_assign(t: &mut Tensor, bias: &Tensor) {
     let be = simd::backend();
     for r in 0..t.rows {
         simd::add_bias_row_with(be, t.row_mut(r), bias.row(0));
-    }
-}
-
-/// In-place fused `t = relu(t + bias)` — the hidden-layer epilogue.
-pub fn add_bias_relu_assign(t: &mut Tensor, bias: &Tensor) {
-    debug_assert_eq!(bias.rows(), 1);
-    debug_assert_eq!(bias.cols(), t.cols());
-    let be = simd::backend();
-    for r in 0..t.rows {
-        simd::add_bias_relu_row_with(be, t.row_mut(r), bias.row(0));
     }
 }
 

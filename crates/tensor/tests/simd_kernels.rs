@@ -1,4 +1,4 @@
-//! Property tests pitting every SIMD / quantized kernel against the Exact
+//! Property tests pitting every SIMD kernel against the Exact
 //! scalar oracle across adversarial shapes: odd lengths, remainder lanes
 //! (`cols % 8 != 0`), denormals and negative zero.
 //!
@@ -8,9 +8,8 @@
 //! assertions are simply skipped where the ISA is absent.
 
 use proptest::prelude::*;
-use uae_tensor::quant::{self, QuantMatrix};
 use uae_tensor::simd::{self, avx2_available};
-use uae_tensor::{Backend, Tensor};
+use uae_tensor::Backend;
 
 /// Sprinkle IEEE edge cases over a bland random vector: exact zeros,
 /// negative zero, denormals of both signs, and a value small enough that
@@ -236,119 +235,4 @@ proptest! {
             }
         }
     }
-
-    /// Int8 panel matmul: bit-identical across backends (integer
-    /// accumulation is exact; dequant uses one shared op order) and within
-    /// the quantization-noise envelope of the f32 oracle.
-    #[test]
-    fn qmatmul_row_matches_f32_within_quant_noise(
-        dims in (1usize..=33, 1usize..=37),
-        seed_a in arb_vec(33..=33),
-        seed_w in arb_vec(33 * 37..=33 * 37),
-    ) {
-        let (k, n) = dims;
-        let a = &seed_a[..k];
-        let w = Tensor::from_vec(k, n, seed_w[..k * n].to_vec());
-        let m = QuantMatrix::quantize(&w, k);
-
-        let mut qa = vec![0i16; m.padded_k()];
-        let a_scale = quant::quantize_row(a, &mut qa);
-
-        let mut scalar = vec![0.0f32; n];
-        quant::qmatmul_row_with(Backend::Exact, &qa, &m, a_scale, &mut scalar);
-        if avx2_available() {
-            let mut vect = vec![0.0f32; n];
-            quant::qmatmul_row_with(Backend::Avx2, &qa, &m, a_scale, &mut vect);
-            prop_assert_eq!(&vect, &scalar);
-        }
-
-        let amax = a.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-        let mut exact = vec![0.0f32; n];
-        simd::matmul_row_with(Backend::Exact, a, w.data(), n, None, &mut exact);
-        for j in 0..n {
-            let wmax = (0..k).map(|r| w.at(r, j).abs()).fold(0.0f32, f32::max);
-            let tol = 1e-6 + (k as f32) * (amax * wmax.max(1.0) + wmax * amax.max(1.0)) / 127.0;
-            prop_assert!(
-                (scalar[j] - exact[j]).abs() <= tol,
-                "col {}: int8 {} vs f32 {} (tol {})", j, scalar[j], exact[j], tol
-            );
-        }
-    }
-
-    /// Dynamic row quantization round-trips within half a step, flushes
-    /// denormal-only and zero rows to scale 0, and zero-pads the tail.
-    #[test]
-    fn quantize_row_roundtrip(
-        n in 1usize..=41,
-        seed in arb_vec(41..=41),
-        pad in 0usize..=3,
-    ) {
-        let x = &seed[..n];
-        let mut qa = vec![i16::MAX; n + pad];
-        let scale = quant::quantize_row(x, &mut qa);
-        let amax = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        if amax == 0.0 {
-            prop_assert_eq!(scale, 0.0);
-            prop_assert!(qa.iter().all(|&q| q == 0));
-        } else {
-            for (j, &v) in x.iter().enumerate() {
-                prop_assert!(qa[j].unsigned_abs() <= 127);
-                let back = qa[j] as f32 * scale;
-                prop_assert!(
-                    (back - v).abs() <= 0.5 * scale + 1e-12,
-                    "lane {}: {} -> {} (scale {})", j, v, back, scale
-                );
-            }
-            prop_assert!(qa[n..].iter().all(|&q| q == 0), "tail not zero-padded");
-        }
-    }
-
-    /// The AVX2 quantizer is bit-identical to the scalar one: same i16
-    /// codes, same scale, across lengths spanning the vector body, the
-    /// 16-lane remainder and the small-row scalar fallback.
-    #[test]
-    fn quantize_row_backends_bit_identical(
-        n in 1usize..=67,
-        seed in arb_vec(67..=67),
-    ) {
-        if avx2_available() {
-            let x = &seed[..n];
-            let mut q_s = vec![i16::MAX; n + 2];
-            let mut q_v = vec![i16::MAX; n + 2];
-            let s_s = quant::quantize_row_with(Backend::Exact, x, &mut q_s);
-            let s_v = quant::quantize_row_with(Backend::Avx2, x, &mut q_v);
-            prop_assert_eq!(s_s.to_bits(), s_v.to_bits(), "scale mismatch");
-            prop_assert_eq!(&q_s, &q_v);
-        }
-    }
-}
-
-/// Deterministic sweep of the rounding tie neighborhoods: with the row max
-/// pinned to 127.0 the quantizer's inverse scale is exactly 1.0, so every
-/// other lane is rounded verbatim — including exact `k + 0.5` ties (round
-/// half away from zero) and the representable values one ulp either side.
-/// The AVX2 path must reproduce the scalar `f32::round` bit-for-bit here.
-#[test]
-fn quantize_tie_neighborhoods_bit_identical() {
-    if !avx2_available() {
-        return;
-    }
-    let mut x = vec![127.0f32];
-    for k in 0..127 {
-        let tie = k as f32 + 0.5;
-        for v in [tie, f32::from_bits(tie.to_bits() - 1), f32::from_bits(tie.to_bits() + 1)] {
-            x.push(v);
-            x.push(-v);
-        }
-    }
-    x.extend([0.0, -0.0, 1.0e-41, -1.0e-41, f32::from_bits(0x3EFF_FFFF)]);
-    let mut q_s = vec![0i16; x.len()];
-    let mut q_v = vec![0i16; x.len()];
-    let s_s = quant::quantize_row_with(Backend::Exact, &x, &mut q_s);
-    let s_v = quant::quantize_row_with(Backend::Avx2, &x, &mut q_v);
-    assert_eq!(s_s.to_bits(), s_v.to_bits());
-    assert_eq!(q_s, q_v);
-    // Spot-check the half-away semantics themselves (inv scale is 1.0).
-    assert_eq!(q_s[1], 1, "0.5 must round away from zero");
-    assert_eq!(q_s[2], -1, "-0.5 must round away from zero");
 }
