@@ -17,13 +17,11 @@ cargo test -q
 echo "== kernel suites under UAE_FORCE_SCALAR =="
 UAE_FORCE_SCALAR=1 cargo test -q -p uae-tensor
 
-echo "== engine equivalence + zero-alloc under the portable and forced-scalar backends =="
-# The head-prefix forward runs on the packed layout (portable, avx2) and
-# falls back to full width on the plain one (forced scalar); both must keep
-# the batched engine bit-identical to the oracle and allocation-free.
-for backend in UAE_SIMD=portable UAE_FORCE_SCALAR=1; do
-    env "$backend" cargo test -q -p uae-core --test batch_equivalence --test zero_alloc
-done
+echo "== engine equivalence + zero-alloc under UAE_FORCE_SCALAR =="
+# The scalar backend is what hosts without AVX2+FMA run; the head-prefix
+# forward must keep the batched engine bit-identical to the oracle and
+# allocation-free there too.
+UAE_FORCE_SCALAR=1 cargo test -q -p uae-core --test batch_equivalence --test zero_alloc
 
 echo "== query sharding: equivalence + zero-alloc at pool widths 1 and 4 =="
 # Width 1 keeps every batch one unsharded walk; width 4 splits a batch of
@@ -64,18 +62,26 @@ cargo run --release --example serve_fault_drill -- \
 test -s target/serve_faults.jsonl
 grep -q '"event":"fallback"' target/serve_faults.jsonl
 
-echo "== serving smoke: concurrent front-end burst drill =="
+echo "== serving smoke: concurrent front-end burst drill (default + scalar) =="
 cargo run --release --example serve_concurrent -- \
     --metrics-out target/serving.jsonl
 test -s target/serving.jsonl
 grep -q '"event":"request_served"' target/serving.jsonl
+UAE_FORCE_SCALAR=1 cargo run --release --example serve_concurrent -- \
+    --metrics-out target/serving_scalar.jsonl
+test -s target/serving_scalar.jsonl
+grep -q '"event":"request_served"' target/serving_scalar.jsonl
 
-echo "== online smoke: drift drill with shadow-gated recovery =="
+echo "== online smoke: drift drill with shadow-gated recovery (default + scalar) =="
 cargo run --release --example online_drift_drill -- \
     --metrics-out target/online_promotions.jsonl
 test -s target/online_promotions.jsonl
 grep -q '"event":"online_promoted"' target/online_promotions.jsonl
 test -s target/BENCH_online.json
+UAE_FORCE_SCALAR=1 cargo run --release --example online_drift_drill -- \
+    --metrics-out target/online_promotions_scalar.jsonl
+test -s target/online_promotions_scalar.jsonl
+grep -q '"event":"online_promoted"' target/online_promotions_scalar.jsonl
 
 echo "== chaos drill: crash-safety matrix (default + scalar) =="
 cargo run --release --example chaos_drill

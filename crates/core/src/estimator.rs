@@ -20,6 +20,7 @@ use crate::model::{RawModel, ResMade, ResMadeConfig};
 use crate::serialize::{CheckpointError, CheckpointState, LoadError};
 use crate::serve::{
     healthy, retry_seed, Estimate, EstimateError, EstimateSource, ServeConfig, Validation,
+    FALLBACK_BUCKETS, RETRY_BOOST,
 };
 use crate::telemetry::{EpochMetrics, Event, ServeStats, Sink, TrainStats};
 use crate::train::{data_loss, query_loss, TrainConfig, TrainQuery};
@@ -399,8 +400,8 @@ impl Uae {
 
     /// The model tier of the cascade for one sampled query: its first
     /// attempt (`None` when that panicked), then — when `accept` rejects
-    /// the value and retries are enabled — one retry on the derived seed
-    /// [`retry_seed`] with a `retry_boost`× budget, run as a batch of one
+    /// the value — one retry on the derived seed [`retry_seed`] with a
+    /// [`RETRY_BOOST`]× budget, run as a batch of one
     /// through [`Uae::attempt`]. Returns the accepted selectivity, or
     /// `None` after recording a fallback (the caller picks what answers
     /// instead), and whether the retry ran.
@@ -415,18 +416,18 @@ impl Uae {
         samples: usize,
         accept: fn(f64) -> bool,
     ) -> (Option<f64>, bool) {
-        let sc = &self.cfg.serve;
+        let fault = &self.cfg.serve.fault;
         // A NaN fault models logits going non-finite mid-walk; a panicked
         // attempt enters the cascade the same way.
-        let mut sel = first.filter(|_| !sc.fault.nan_hits(idx, 0)).unwrap_or(f64::NAN);
-        let retried = !accept(sel) && sc.retry;
+        let mut sel = first.filter(|_| !fault.nan_hits(idx, 0)).unwrap_or(f64::NAN);
+        let retried = !accept(sel);
         if retried {
             est.serve.stats.retries += 1;
             est.serve.emit(Event::Retry { index: idx, value: sel });
-            let boosted = samples.max(1) * sc.retry_boost.max(1);
+            let boosted = samples.max(1) * RETRY_BOOST;
             let again =
                 self.attempt(est, slice::from_ref(vq), &[retry_seed(qseed)], &[idx], boosted);
-            sel = again[0].filter(|_| !sc.fault.nan_hits(idx, 1)).unwrap_or(f64::NAN);
+            sel = again[0].filter(|_| !fault.nan_hits(idx, 1)).unwrap_or(f64::NAN);
         }
         if accept(sel) {
             return (Some(sel), retried);
@@ -487,15 +488,10 @@ impl Uae {
     }
 
     /// Bounds-check a query's columns, remap it into this estimator's
-    /// column order, and classify it. With validation disabled every
-    /// in-bounds query is classified `Sample`, as the pre-hardening code
-    /// behaved.
+    /// column order, and classify it.
     fn validate(&self, query: &Query) -> Result<(Query, Validation), EstimateError> {
         crate::serve::check_columns(&self.table, query)?;
         let remapped = self.remap_query(query);
-        if !self.cfg.serve.validate {
-            return Ok((remapped, Validation::Sample));
-        }
         let verdict = crate::serve::classify(&self.table, &remapped);
         Ok((remapped, verdict))
     }
@@ -640,11 +636,9 @@ impl Uae {
                     Some(sel) if degraded => (sel, EstimateSource::ModelDegraded),
                     Some(sel) => (sel, EstimateSource::Model),
                     None => {
-                        let buckets = self.cfg.serve.fallback_buckets;
-                        let hist = est
-                            .serve
-                            .fallback
-                            .get_or_insert_with(|| HistogramEstimator::new(&self.table, buckets));
+                        let hist = est.serve.fallback.get_or_insert_with(|| {
+                            HistogramEstimator::new(&self.table, FALLBACK_BUCKETS)
+                        });
                         (hist.estimate_selectivity(&remapped), EstimateSource::Baseline)
                     }
                 };
@@ -659,16 +653,9 @@ impl Uae {
         self.est.lock().serve.stats.clone()
     }
 
-    /// Mutable serving configuration — cascade knobs and the fault plan.
+    /// Mutable serving configuration (the fault plan).
     pub fn serve_config_mut(&mut self) -> &mut ServeConfig {
         &mut self.cfg.serve
-    }
-
-    /// Drop the cached inference snapshot so the next estimate rebuilds it.
-    /// Required after [`uae_tensor::simd::set_backend`]: snapshot weight
-    /// *layout* depends on the backend selected at snapshot time.
-    pub fn invalidate_snapshot(&self) {
-        self.est.lock().raw = None;
     }
 
     /// Attach (or replace) the sink receiving this estimator's [`Event`]s:

@@ -286,84 +286,69 @@ impl ResMade {
     /// Pre-masked weight snapshot for fast tape-free inference
     /// (progressive sampling runs many forwards per query).
     ///
-    /// Unless the scalar reference backend is forced (`UAE_FORCE_SCALAR=1`),
-    /// the snapshot stores weights in the **packed** layout: hidden units
-    /// are permuted by ascending MADE degree, which turns every masked
-    /// weight row into a dense panel behind a contiguous zero prefix
-    /// (recorded in per-row `starts`) and every output head into a
-    /// contiguous *row prefix* of the hidden state (recorded in
+    /// The snapshot stores weights in the **packed** layout, on every
+    /// backend: hidden units are permuted by ascending MADE degree, which
+    /// turns every masked weight row into a dense panel behind a contiguous
+    /// zero prefix (recorded in per-row `starts`) and every output head into
+    /// a contiguous *row prefix* of the hidden state (recorded in
     /// `head_rows`). The forward then never multiplies structurally-masked
-    /// weights at all. The permutation is exact — it only reorders the
-    /// hidden basis consistently across layers — but it reorders f32
-    /// accumulation, so the forced-scalar path keeps the plain layout to
-    /// stay bit-identical with the pre-SIMD engine.
+    /// weights at all. The permutation only reorders the hidden basis
+    /// consistently across layers, but it also reorders f32 accumulation,
+    /// so logits differ from an unpermuted forward in low bits.
     pub fn snapshot(&self, store: &ParamStore) -> RawModel {
+        let n = self.logit_slices.len();
+        let hidden_deg: Vec<usize> =
+            (0..self.hidden).map(|h| if n > 1 { (h % (n - 1)) + 1 } else { 0 }).collect();
+        // Stable sort: uniform degrees keep the identity permutation.
+        let mut perm: Vec<usize> = (0..self.hidden).collect();
+        perm.sort_by_key(|&h| hidden_deg[h]);
+
         let masked = |w: ParamId, m: &Tensor| store.get(w).zip(m, |a, b| a * b);
-        let mut w_in = masked(self.w_in, &self.mask_in);
-        let mut b_in = store.get(self.b_in).clone();
-        let mut blocks: Vec<RawBlock> = self
+        let square =
+            |w: ParamId| permute_cols(&permute_rows(&masked(w, &self.mask_hidden), &perm), &perm);
+        let w_in = permute_cols(&masked(self.w_in, &self.mask_in), &perm);
+        let b_in = permute_cols(store.get(self.b_in), &perm);
+        let blocks: Vec<RawBlock> = self
             .blocks
             .iter()
             .map(|blk| RawBlock {
-                w1: masked(blk.w1, &self.mask_hidden),
-                b1: store.get(blk.b1).clone(),
-                w2: masked(blk.w2, &self.mask_hidden),
-                b2: store.get(blk.b2).clone(),
+                w1: square(blk.w1),
+                b1: permute_cols(store.get(blk.b1), &perm),
+                w2: square(blk.w2),
+                b2: permute_cols(store.get(blk.b2), &perm),
             })
             .collect();
-        let mut w_out = masked(self.w_out, &self.mask_out);
+        let w_out = permute_rows(&masked(self.w_out, &self.mask_out), &perm);
         let b_out = store.get(self.b_out).clone();
 
-        let packed = if simd::packed_enabled() {
-            let n = self.logit_slices.len();
-            let hidden_deg: Vec<usize> =
-                (0..self.hidden).map(|h| if n > 1 { (h % (n - 1)) + 1 } else { 0 }).collect();
-            // Stable sort: uniform degrees keep the identity permutation.
-            let mut perm: Vec<usize> = (0..self.hidden).collect();
-            perm.sort_by_key(|&h| hidden_deg[h]);
-
-            w_in = permute_cols(&w_in, &perm);
-            b_in = permute_cols(&b_in, &perm);
-            for blk in &mut blocks {
-                blk.w1 = permute_cols(&permute_rows(&blk.w1, &perm), &perm);
-                blk.b1 = permute_cols(&blk.b1, &perm);
-                blk.w2 = permute_cols(&permute_rows(&blk.w2, &perm), &perm);
-                blk.b2 = permute_cols(&blk.b2, &perm);
-            }
-            w_out = permute_rows(&w_out, &perm);
-
-            // Suffix starts come from the masks (not the weights, which can
-            // be zero by coincidence): permuted-ascending degrees make each
-            // mask row `0…0 1…1`.
-            let start_in: Vec<u32> = (0..self.input_width)
-                .map(|i| suffix_start(&perm, |h| self.mask_in.at(i, h) != 0.0))
-                .collect();
-            let start_h: Vec<u32> = perm
-                .iter()
-                .map(|&a| suffix_start(&perm, |b| self.mask_hidden.at(a, b) != 0.0))
-                .collect();
-            // Heads see a row *prefix*: hidden degrees strictly below the
-            // column's output degree sort first. All logits of one virtual
-            // column share a degree, so one count per head suffices.
-            let head_rows: Vec<usize> = self
-                .logit_slices
-                .iter()
-                .map(|&(s, e)| {
-                    let live = perm.iter().filter(|&&h| self.mask_out.at(h, s) != 0.0).count();
-                    debug_assert!(
-                        (s..e).all(|o| {
-                            perm[..live].iter().all(|&h| self.mask_out.at(h, o) != 0.0)
-                                && perm[live..].iter().all(|&h| self.mask_out.at(h, o) == 0.0)
-                        }),
-                        "head rows must be a shared prefix"
-                    );
-                    live
-                })
-                .collect();
-            Some(Packed { start_in, start_h, head_rows })
-        } else {
-            None
-        };
+        // Suffix starts come from the masks (not the weights, which can
+        // be zero by coincidence): permuted-ascending degrees make each
+        // mask row `0…0 1…1`.
+        let start_in: Vec<u32> = (0..self.input_width)
+            .map(|i| suffix_start(&perm, |h| self.mask_in.at(i, h) != 0.0))
+            .collect();
+        let start_h: Vec<u32> = perm
+            .iter()
+            .map(|&a| suffix_start(&perm, |b| self.mask_hidden.at(a, b) != 0.0))
+            .collect();
+        // Heads see a row *prefix*: hidden degrees strictly below the
+        // column's output degree sort first. All logits of one virtual
+        // column share a degree, so one count per head suffices.
+        let head_rows: Vec<usize> = self
+            .logit_slices
+            .iter()
+            .map(|&(s, e)| {
+                let live = perm.iter().filter(|&&h| self.mask_out.at(h, s) != 0.0).count();
+                debug_assert!(
+                    (s..e).all(|o| {
+                        perm[..live].iter().all(|&h| self.mask_out.at(h, o) != 0.0)
+                            && perm[live..].iter().all(|&h| self.mask_out.at(h, o) == 0.0)
+                    }),
+                    "head rows must be a shared prefix"
+                );
+                live
+            })
+            .collect();
 
         // Pre-slice the per-column output heads once per snapshot, so
         // `logits_col_into` never slices in the per-round hot loop.
@@ -389,7 +374,9 @@ impl ResMade {
                     EncTable::Learned(id) => store.get(*id).clone(),
                 })
                 .collect(),
-            packed,
+            start_in,
+            start_h,
+            head_rows,
             first_step: parking_lot::Mutex::new(std::collections::HashMap::new()),
         }
     }
@@ -469,10 +456,13 @@ pub struct RawModel {
     logit_slices: Vec<(usize, usize)>,
     /// Materialized per-column input encodings (`enc[v].row(code)`).
     enc: Vec<Tensor>,
-    /// Packed-layout metadata (`None` on the forced-scalar reference path):
-    /// dense-suffix starts for the input/hidden matmuls and per-head live
-    /// row prefixes. See [`ResMade::snapshot`].
-    packed: Option<Packed>,
+    /// Packed layout (see [`ResMade::snapshot`]): per input row, the first
+    /// live (non-masked) hidden column of `w_in`.
+    start_in: Vec<u32>,
+    /// Per hidden row: first live hidden column of each block matmul.
+    start_h: Vec<u32>,
+    /// Per virtual column: number of leading hidden rows its head reads.
+    head_rows: Vec<usize>,
     /// Memoized first-step distributions, keyed by virtual column: the
     /// first constrained column of every query sees the all-wildcard
     /// (all-zero) input, so its softmaxed logits are identical across all
@@ -496,7 +486,9 @@ impl Clone for RawModel {
             b_out_cols: self.b_out_cols.clone(),
             logit_slices: self.logit_slices.clone(),
             enc: self.enc.clone(),
-            packed: self.packed.clone(),
+            start_in: self.start_in.clone(),
+            start_h: self.start_h.clone(),
+            head_rows: self.head_rows.clone(),
             // The memo is derived state; a fresh clone recomputes on demand.
             first_step: parking_lot::Mutex::new(std::collections::HashMap::new()),
         }
@@ -509,17 +501,6 @@ struct RawBlock {
     b1: Tensor,
     w2: Tensor,
     b2: Tensor,
-}
-
-/// Packed-layout metadata; see [`ResMade::snapshot`].
-#[derive(Debug, Clone)]
-struct Packed {
-    /// Per input row: first live (non-masked) hidden column of `w_in`.
-    start_in: Vec<u32>,
-    /// Per hidden row: first live hidden column of each block matmul.
-    start_h: Vec<u32>,
-    /// Per virtual column: number of leading hidden rows its head reads.
-    head_rows: Vec<usize>,
 }
 
 impl RawModel {
@@ -549,8 +530,7 @@ impl RawModel {
     /// degree, a prefix. Hidden-to-hidden weights only run from degree `a`
     /// to degree `b >= a`, so units below the limit read only units below
     /// it; and every input row of a column `>= v` starts at or past the
-    /// limit, so the kernel skips it. The plain layout has no degree sort,
-    /// so its limit is the full width.
+    /// limit, so the kernel skips it.
     pub(crate) fn hidden_for_col_into(&self, x: &Tensor, v: usize, s: &mut ModelScratch) {
         self.hidden_prefix_into(x, self.head_rows(v), s)
     }
@@ -558,10 +538,7 @@ impl RawModel {
     /// The one hidden forward, over units `..units` (a degree-closed
     /// prefix: the full width or a head's `head_rows`).
     fn hidden_prefix_into(&self, x: &Tensor, units: usize, s: &mut ModelScratch) {
-        let (si, sh) = match &self.packed {
-            Some(p) => (Some(p.start_in.as_slice()), Some(p.start_h.as_slice())),
-            None => (None, None),
-        };
+        let (si, sh) = (Some(&self.start_in[..]), Some(&self.start_h[..]));
         let ModelScratch { h, t, t2, .. } = s;
         matmul_masked_into(x, &self.w_in, si, x.cols(), units, h, false);
         let be = simd::backend();
@@ -600,10 +577,10 @@ impl RawModel {
     }
 
     /// Logits of virtual column `v` for the hidden states in `s.h`,
-    /// written into `s.logits`. Uses the pre-sliced per-column head — and,
-    /// in the packed layout, only the prefix of hidden rows the head's MADE
-    /// degree can legally read — so no slicing, no allocation, and no
-    /// structurally-zero multiplies happen per call.
+    /// written into `s.logits`. Uses the pre-sliced per-column head and
+    /// only the prefix of hidden rows the head's MADE degree can legally
+    /// read, so no slicing, no allocation, and no structurally-zero
+    /// multiplies happen per call.
     pub fn logits_col_into(&self, v: usize, s: &mut ModelScratch) {
         let k_limit = self.head_rows(v);
         let ModelScratch { h, logits, .. } = s;
@@ -623,9 +600,9 @@ impl RawModel {
     }
 
     /// Number of leading hidden units column `v`'s logit head reads: the
-    /// packed layout's degree prefix, or the full width in the plain one.
+    /// packed layout's degree prefix.
     pub(crate) fn head_rows(&self, v: usize) -> usize {
-        self.packed.as_ref().map_or(self.hidden_width(), |p| p.head_rows[v])
+        self.head_rows[v]
     }
 
     /// The cached all-wildcard (all-zero) input row.
@@ -870,10 +847,8 @@ mod tests {
             }
             let raw = model.snapshot(&store);
             assert_eq!(raw.hidden_width(), hidden);
-            if simd::packed_enabled() {
-                // Every head but the last column's reads a strict prefix.
-                assert!((0..n - 1).all(|v| raw.head_rows(v) < hidden), "case {ci}: no prefix");
-            }
+            // Every head but the last column's reads a strict prefix.
+            assert!((0..n - 1).all(|v| raw.head_rows(v) < hidden), "case {ci}: no prefix");
 
             // Sampler-shaped inputs: column prefixes encoded, the rest
             // wildcard zeros, plus one fully encoded row.

@@ -438,6 +438,21 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Apply mutation-fuzz edits to a decoder payload: each `(kind, pos, byte)`
+/// overwrites (`0`), truncates at (`1`) or inserts `byte` at (`2`) position
+/// `pos` modulo the current length plus one.
+#[cfg(test)]
+pub(crate) fn mutate(payload: &mut Vec<u8>, edits: &[(u8, u32, u8)]) {
+    for &(kind, pos, byte) in edits {
+        let at = pos as usize % (payload.len() + 1);
+        match kind {
+            0 if at < payload.len() => payload[at] = byte,
+            1 => payload.truncate(at),
+            _ => payload.insert(at, byte),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,17 +614,28 @@ mod tests {
             let mut payload = open_blob(&sealed, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
                 .expect("valid blob")
                 .to_vec();
-            for (kind, pos, byte) in edits {
-                let at = pos as usize % (payload.len() + 1);
-                match kind {
-                    0 if at < payload.len() => payload[at] = byte,
-                    1 => payload.truncate(at),
-                    _ => payload.insert(at, byte),
-                }
-            }
+            mutate(&mut payload, &edits);
             let blob = seal_blob(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &payload);
             if let Ok(ck) = load_checkpoint(&blob) {
                 prop_assert_eq!(save_checkpoint(&ck), blob);
+            }
+        }
+
+        /// The `UAEW` weights decoder under the same mutations: it never
+        /// panics, a rejected blob leaves the store untouched (two-phase
+        /// load), and an accepted one re-saves to the same bytes.
+        #[test]
+        fn weights_decode_survives_mutated_payloads(
+            edits in proptest::collection::vec((0u8..3, any::<u32>(), any::<u8>()), 1..=6),
+        ) {
+            let sealed = save_params(&store());
+            let mut payload = open_blob(&sealed, MAGIC, VERSION).expect("valid blob").to_vec();
+            mutate(&mut payload, &edits);
+            let blob = seal_blob(MAGIC, VERSION, &payload);
+            let mut target = store();
+            match load_params(&mut target, &blob) {
+                Ok(()) => prop_assert_eq!(save_params(&target), blob),
+                Err(_) => prop_assert_eq!(save_params(&target), sealed),
             }
         }
     }

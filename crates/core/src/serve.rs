@@ -12,12 +12,11 @@
 //!   ([`EstimateError`]); out-of-domain literals, inverted or empty ranges
 //!   short-circuit to an exact `0`, and full-wildcard queries to an exact
 //!   `1`, without touching the sampler;
-//! * **the cascade** (configured by [`ServeConfig`], driven by
-//!   `Uae::try_estimate_card(s)`) retries an unhealthy sample — non-finite
-//!   selectivity, a panicked attempt, or zero live samples — once on a
-//!   derived RNG substream with a boosted sample budget, then degrades to
-//!   the always-available histogram baseline, and clamps the final
-//!   cardinality into `[0, N]`;
+//! * **the cascade** (driven by `Uae::try_estimate_card(s)`) retries an
+//!   unhealthy sample — non-finite selectivity, a panicked attempt, or zero
+//!   live samples — once on a derived RNG substream with a boosted sample
+//!   budget (`RETRY_BOOST`), then degrades to the always-available
+//!   histogram baseline, and clamps the final cardinality into `[0, N]`;
 //! * **deterministic fault injection** ([`FaultPlan`]) poisons specific
 //!   serving indices (NaN "logits", worker panics, checkpoint byte
 //!   corruption) so every degradation path is exercised by tests and the
@@ -207,34 +206,18 @@ impl FaultPlan {
     }
 }
 
+/// Sample-budget multiplier for the cascade's one retry of an unhealthy
+/// sample (on a derived RNG substream) before it degrades to the baseline.
+pub(crate) const RETRY_BOOST: usize = 4;
+
+/// Equi-depth buckets of the lazily built histogram baseline.
+pub(crate) const FALLBACK_BUCKETS: usize = 64;
+
 /// Configuration of the serving cascade.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeConfig {
-    /// Validate queries before sampling (unknown-column rejection plus the
-    /// exact empty/trivial shortcuts). Disabling sends every query to the
-    /// sampler, as the pre-hardening code did.
-    pub validate: bool,
-    /// Retry an unhealthy sample once on a derived RNG substream before
-    /// degrading to the baseline.
-    pub retry: bool,
-    /// Sample-budget multiplier for the retry attempt.
-    pub retry_boost: usize,
-    /// Equi-depth buckets of the lazily built histogram baseline.
-    pub fallback_buckets: usize,
     /// Deterministic fault injection (inert by default).
     pub fault: FaultPlan,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            validate: true,
-            retry: true,
-            retry_boost: 4,
-            fallback_buckets: 64,
-            fault: FaultPlan::default(),
-        }
-    }
 }
 
 /// Whether a sampled selectivity is trustworthy: finite and backed by at

@@ -101,11 +101,6 @@ impl JoinQuery {
         }
     }
 
-    /// Number of tables participating (fact + dims).
-    pub fn num_tables(&self) -> usize {
-        1 + self.dims.len()
-    }
-
     /// The fact-table part as a single-table [`Query`].
     pub fn fact_query(&self) -> Query {
         Query::new(self.fact_preds.clone())

@@ -221,11 +221,6 @@ impl QueryRegion {
     pub fn matches_row(&self, codes: &[u32]) -> bool {
         self.regions.iter().zip(codes).all(|(r, &c)| r.as_ref().is_none_or(|r| r.contains(c)))
     }
-
-    /// Number of constrained columns.
-    pub fn num_constrained(&self) -> usize {
-        self.regions.iter().flatten().count()
-    }
 }
 
 #[cfg(test)]

@@ -94,11 +94,6 @@ impl<T> MicroBatcher<T> {
         self.pending_total
     }
 
-    /// Pending items in one lane.
-    pub fn lane_pending(&self, lane: usize) -> usize {
-        self.lanes[lane].items.len()
-    }
-
     /// Append an item to `lane` at time `now_ns`. Returns
     /// `Some(FlushReason::Size)` when the push filled the lane to
     /// `max_batch` — the caller must [`MicroBatcher::take`] it before the

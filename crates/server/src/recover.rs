@@ -282,7 +282,7 @@ pub fn recover_registry(
             recovered.unwrap_or((base, 0, None, RecoverySource::Seed));
 
         let router = manifest_entry.and_then(|e| e.router.clone());
-        registry.register_full(tenant.clone(), model, None, version, checkpoint.clone());
+        registry.register_full(tenant.clone(), model, version, checkpoint.clone());
 
         emit(
             &mut sink,

@@ -2,8 +2,8 @@
 //! atomic-swap point.
 //!
 //! A production estimation service hosts many tables/tenants at once, each
-//! with its own trained model, serving configuration (`ServeConfig` lives
-//! *inside* the tenant's `Uae`) and degradation policy. The registry maps
+//! with its own trained model and serving configuration (`ServeConfig`
+//! lives *inside* the tenant's `Uae`). The registry maps
 //! tenant names to [`Tenant`] handles; the model inside a tenant is an
 //! `Arc<Uae>` behind an `RwLock`, so
 //!
@@ -24,7 +24,7 @@ use uae_core::{DiskFaults, PersistError, QueryPool, Router, Uae};
 
 use crate::manifest::{Manifest, ManifestEntry};
 
-/// Latency-SLO degradation ladder for one tenant (or the server default).
+/// Latency-SLO degradation ladder (one per server, applied to every tenant).
 ///
 /// Rungs engage in order as load signals cross their thresholds:
 ///
@@ -103,11 +103,6 @@ impl LadderState {
     pub fn depth_hot(&self) -> bool {
         self.depth.hot
     }
-
-    /// Whether the latency signal is currently hot.
-    pub fn latency_hot(&self) -> bool {
-        self.latency.hot
-    }
 }
 
 impl DegradeConfig {
@@ -153,21 +148,11 @@ impl DegradeConfig {
         st.hot
     }
 
-    /// The stateless per-query budget for the current load signals:
-    /// `None` for the full configured budget, `Some(shrunken)` when a
-    /// rung engages on raw entry thresholds. `configured` is the
-    /// tenant's nominal `estimate_samples`. No hysteresis — use
-    /// [`DegradeConfig::step`] with a [`LadderState`] for flap-free
-    /// serving decisions.
-    pub fn budget(&self, configured: usize, queue_depth: usize, p99_ms: f64) -> Option<usize> {
-        let depth_hot = self.queue_depth_threshold > 0 && queue_depth > self.queue_depth_threshold;
-        let lat_hot = self.p99_target_ms > 0.0 && p99_ms > self.p99_target_ms;
-        self.rung_budget(configured, depth_hot, lat_hot)
-    }
-
     /// The hysteretic per-query budget: advance `state` under the
     /// current load signals at `now_ns` and return the budget for the
-    /// rung the ladder is now on. Entry is immediate; exit requires the
+    /// rung the ladder is now on (`None` for the full configured budget,
+    /// `Some(shrunken)` when a rung engages). `configured` is the tenant's
+    /// nominal `estimate_samples`. Entry is immediate; exit requires the
     /// metric below the exit band with the cooldown expired.
     pub fn step(
         &self,
@@ -196,14 +181,13 @@ impl DegradeConfig {
 }
 
 /// One registered tenant: a named model swap point plus its degradation
-/// policy. The tenant's serving configuration (validation, fallback
-/// cascade, fault plan) travels inside the `Uae` itself.
+/// ladder state. The tenant's serving configuration (the fault plan)
+/// travels inside the `Uae` itself.
 pub struct Tenant {
     name: String,
     /// Stable dense index — the micro-batcher lane this tenant batches in.
     lane: usize,
     model: RwLock<Arc<Uae>>,
-    degrade: Option<DegradeConfig>,
     /// Hysteresis state for this tenant's degradation ladder (driven at
     /// flush time by the dispatcher's clock).
     ladder: Mutex<LadderState>,
@@ -240,11 +224,6 @@ impl Tenant {
         self.model.read().clone()
     }
 
-    /// This tenant's degradation ladder, if it overrides the server's.
-    pub fn degrade(&self) -> Option<&DegradeConfig> {
-        self.degrade.as_ref()
-    }
-
     /// The tenant's fleet router, if one is installed (cheap `Arc`
     /// clone, same discipline as [`Tenant::model`]).
     pub fn router(&self) -> Option<Arc<Router>> {
@@ -276,18 +255,17 @@ impl Tenant {
         }
     }
 
-    /// Advance this tenant's hysteretic ladder under the current load
-    /// signals and return the batch's sample budget (`None` = full).
-    /// `default_cfg` applies when the tenant has no override.
+    /// Advance this tenant's hysteretic ladder under the server's ladder
+    /// `cfg` and the current load signals, and return the batch's sample
+    /// budget (`None` = full).
     pub fn degrade_budget(
         &self,
-        default_cfg: &DegradeConfig,
+        cfg: &DegradeConfig,
         configured: usize,
         queue_depth: usize,
         p99_ms: f64,
         now_ns: u64,
     ) -> Option<usize> {
-        let cfg = self.degrade.as_ref().unwrap_or(default_cfg);
         cfg.step(&mut self.ladder.lock(), configured, queue_depth, p99_ms, now_ns)
     }
 }
@@ -341,21 +319,11 @@ impl Registry {
         Registry::default()
     }
 
-    /// Register `model` under `name` with the server-default degradation
-    /// ladder. Re-registering an existing name swaps the model instead
-    /// (the lane is stable for the life of the registry).
+    /// Register `model` under `name`. Re-registering an existing name
+    /// swaps the model instead (the lane is stable for the life of the
+    /// registry).
     pub fn register(&self, name: impl Into<String>, model: Uae) -> Arc<Tenant> {
-        self.register_with(name, model, None)
-    }
-
-    /// Register with a per-tenant degradation ladder override.
-    pub fn register_with(
-        &self,
-        name: impl Into<String>,
-        model: Uae,
-        degrade: Option<DegradeConfig>,
-    ) -> Arc<Tenant> {
-        self.register_full(name, model, degrade, 0, None)
+        self.register_full(name, model, 0, None)
     }
 
     /// Register with explicit durable state — the recovery path uses
@@ -366,7 +334,6 @@ impl Registry {
         &self,
         name: impl Into<String>,
         model: Uae,
-        degrade: Option<DegradeConfig>,
         version: u64,
         checkpoint: Option<String>,
     ) -> Arc<Tenant> {
@@ -385,7 +352,6 @@ impl Registry {
                     name: name.clone(),
                     lane: by_lane.len(),
                     model: RwLock::new(Arc::new(model)),
-                    degrade,
                     ladder: Mutex::new(LadderState::default()),
                     router: RwLock::new(None),
                     pool: RwLock::new(None),
@@ -525,11 +491,6 @@ impl Registry {
         self.sync_manifest()
     }
 
-    /// Whether the registry is attached to a durable state directory.
-    pub fn is_persistent(&self) -> bool {
-        self.persist.read().is_some()
-    }
-
     /// Rewrite the manifest from the full current registry state.
     /// A no-op without a persistence attachment.
     pub fn sync_manifest(&self) -> Result<(), PersistError> {
@@ -581,21 +542,26 @@ mod tests {
             floor_fraction: 0.1,
             ..DegradeConfig::default()
         };
+        // Each case starts from a fresh (all-cold) ladder, so a signal is
+        // hot exactly when its metric is over the entry threshold.
+        let fresh = |d: &DegradeConfig, configured, depth, p99| {
+            d.step(&mut LadderState::default(), configured, depth, p99, 0)
+        };
         // Nominal load: full budget.
-        assert_eq!(d.budget(1000, 5, 1.0), None);
+        assert_eq!(fresh(&d, 1000, 5, 1.0), None);
         // Queue depth alone: rung 1.
-        assert_eq!(d.budget(1000, 11, 1.0), Some(250));
+        assert_eq!(fresh(&d, 1000, 11, 1.0), Some(250));
         // Latency alone: rung 1.
-        assert_eq!(d.budget(1000, 5, 6.0), Some(250));
+        assert_eq!(fresh(&d, 1000, 5, 6.0), Some(250));
         // Both: rung 2.
-        assert_eq!(d.budget(1000, 11, 6.0), Some(100));
+        assert_eq!(fresh(&d, 1000, 11, 6.0), Some(100));
         // Shrunken budget never hits zero…
-        assert_eq!(d.budget(3, 11, 6.0), Some(1));
+        assert_eq!(fresh(&d, 3, 11, 6.0), Some(1));
         // …and never "degrades" to >= the configured budget.
-        assert_eq!(d.budget(1, 11, 6.0), None);
+        assert_eq!(fresh(&d, 1, 11, 6.0), None);
         // Disabled signals never engage.
         let off = DegradeConfig::disabled();
-        assert_eq!(off.budget(1000, usize::MAX, 1e9), None);
+        assert_eq!(fresh(&off, 1000, usize::MAX, 1e9), None);
     }
 
     /// The flapping regression: load oscillating right at the entry

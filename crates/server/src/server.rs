@@ -89,7 +89,7 @@ pub struct ServerConfig {
     /// over it; `Some(1)` keeps every batch on its executor thread and
     /// turns sharding off.
     pub kernel_threads: Option<usize>,
-    /// Server-default degradation ladder (tenants may override).
+    /// Degradation ladder, applied to every tenant.
     pub degrade: DegradeConfig,
     /// Rolling end-to-end latency window size feeding the ladder's p99
     /// signal and [`Server::p99_ms`].
@@ -628,11 +628,6 @@ impl Server {
         s.p50_ms = self.shared.latency.quantile(0.5);
         s.p99_ms = self.shared.latency.quantile(0.99);
         s
-    }
-
-    /// The `q`-quantile of the rolling end-to-end latency window (ms).
-    pub fn latency_quantile(&self, q: f64) -> f64 {
-        self.shared.latency.quantile(q)
     }
 
     /// Observations currently in the rolling latency window. The window

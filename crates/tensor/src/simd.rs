@@ -1,88 +1,53 @@
 //! Runtime-dispatched SIMD kernels for the inference hot path.
 //!
-//! Three backends implement the same row-level contracts:
+//! Two backends implement the same row-level contracts:
 //!
-//! * [`Backend::Exact`] — the reference scalar loops, numerically identical
-//!   to the pre-SIMD engine. Selected by `UAE_FORCE_SCALAR=1`; the bit-exact
-//!   seq/batch and checkpoint-resume guarantees are stated against it.
-//! * [`Backend::Portable`] — 8-lane-unrolled scalar code with no
-//!   target-specific intrinsics. For the element-wise kernels (axpy,
-//!   bias/ReLU epilogues) the unrolling does not reorder any per-element
-//!   arithmetic, so it is bit-identical to `Exact`; it exists so non-x86
-//!   hosts still get ILP-friendly loops.
+//! * [`Backend::Scalar`] — 8-lane-unrolled scalar code with no
+//!   target-specific intrinsics: what hosts without AVX2+FMA run, and what
+//!   `UAE_FORCE_SCALAR=1` pins. Unrolling reorders no per-element
+//!   arithmetic, so every kernel computes exactly what a plain loop over the
+//!   elements computes (the tests here and in `tests/simd_kernels.rs` check
+//!   this bit for bit).
 //! * [`Backend::Avx2`] — x86-64 `std::arch` AVX2 + FMA kernels, including a
 //!   fused softmax built on a vectorized polynomial `exp`. FMA contraction
 //!   and 8-way reduction trees reassociate sums, so this backend is held to
-//!   an ULP/relative-error oracle bound instead of bit-exactness (see the
-//!   tests here and `tests/simd_kernels.rs`).
+//!   an ULP/relative-error bound against `Scalar` instead of bit-exactness.
 //!
-//! The backend is picked **once** at first use from `UAE_FORCE_SCALAR`, the
-//! `UAE_SIMD` override (`scalar` | `portable` | `avx2`), and
-//! `is_x86_feature_detected!`; benches flip it explicitly via
-//! [`set_backend`] to build scalar → SIMD trajectories in one process.
-//! Matrix-level dispatch lives in [`crate::tensor`]; model-level packing
-//! (mask-aware column pruning) lives in `uae-core`, which feeds the
-//! per-row `starts` offsets into [`matmul_row`].
+//! The backend is picked **once**, at first use, from `UAE_FORCE_SCALAR` and
+//! `is_x86_feature_detected!`. Every kernel also takes an explicit backend
+//! (`*_with`) so tests can pit the two against each other; `Avx2` on a CPU
+//! without avx2+fma runs the scalar loop. Matrix-level dispatch lives in
+//! [`crate::tensor`]; model-level packing (mask-aware column pruning) lives
+//! in `uae-core`, which feeds the per-row `starts` offsets into
+//! [`matmul_row_with`].
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// Which kernel family services tensor ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum Backend {
-    /// Reference scalar loops — the deterministic baseline.
-    Exact = 0,
-    /// Unrolled portable loops (bit-identical to `Exact` on element-wise
-    /// kernels; no intrinsics).
-    Portable = 1,
+    /// Unrolled portable scalar loops (no intrinsics).
+    Scalar,
     /// AVX2 + FMA intrinsics (x86-64 only, runtime-detected).
-    Avx2 = 2,
+    Avx2,
 }
 
-const BACKEND_UNSET: u8 = u8::MAX;
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
-#[inline]
-fn from_u8(v: u8) -> Backend {
-    match v {
-        0 => Backend::Exact,
-        1 => Backend::Portable,
-        _ => Backend::Avx2,
-    }
-}
-
-/// The active backend, initializing it from the environment + CPU features
-/// on first call.
+/// The active backend, chosen from the environment + CPU features on first
+/// call and fixed for the life of the process.
 #[inline]
 pub fn backend() -> Backend {
-    let v = BACKEND.load(Ordering::Relaxed);
-    if v == BACKEND_UNSET {
-        init_backend()
+    static BACKEND: OnceLock<Backend> = OnceLock::new();
+    *BACKEND.get_or_init(detect_backend)
+}
+
+/// What the environment + CPU select: `Avx2` when the CPU has avx2+fma and
+/// `UAE_FORCE_SCALAR` is unset, `Scalar` otherwise.
+fn detect_backend() -> Backend {
+    if avx2_available() && !force_scalar() {
+        Backend::Avx2
     } else {
-        from_u8(v)
+        Backend::Scalar
     }
-}
-
-#[cold]
-fn init_backend() -> Backend {
-    let b = detect_backend();
-    BACKEND.store(b as u8, Ordering::Relaxed);
-    b
-}
-
-/// What the environment + CPU would select, ignoring any [`set_backend`]
-/// override already in effect.
-pub fn detect_backend() -> Backend {
-    if force_scalar() {
-        return Backend::Exact;
-    }
-    match std::env::var("UAE_SIMD").ok().as_deref() {
-        Some("scalar") | Some("exact") => return Backend::Exact,
-        Some("portable") => return Backend::Portable,
-        Some("avx2") => return clamp_to_available(Backend::Avx2),
-        _ => {}
-    }
-    clamp_to_available(Backend::Avx2)
 }
 
 fn force_scalar() -> bool {
@@ -90,14 +55,6 @@ fn force_scalar() -> bool {
         None | Some("") | Some("0") | Some("false") | Some("no") => false,
         Some(_) => true,
     }
-}
-
-/// Downgrade a requested backend to the best one this CPU supports.
-fn clamp_to_available(b: Backend) -> Backend {
-    if b == Backend::Avx2 && !avx2_available() {
-        return Backend::Portable;
-    }
-    b
 }
 
 /// Whether this CPU supports the AVX2+FMA backend. Public so oracle tests
@@ -113,48 +70,22 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// Force a backend (downgraded if the CPU lacks it) and return the previous
-/// selection. Bench/test-only: callers that hold model snapshots must
-/// rebuild them afterwards, because snapshot weight *layout* depends on the
-/// backend at snapshot time.
-pub fn set_backend(b: Backend) -> Backend {
-    let b = clamp_to_available(b);
-    let prev = BACKEND.swap(b as u8, Ordering::Relaxed);
-    if prev == BACKEND_UNSET {
-        detect_backend()
-    } else {
-        from_u8(prev)
-    }
-}
-
-/// Whether model snapshots should use the packed (degree-permuted,
-/// column-pruned) weight layout. The `Exact` backend keeps the plain layout
-/// so `UAE_FORCE_SCALAR=1` reproduces the pre-SIMD engine bit-for-bit.
-pub fn packed_enabled() -> bool {
-    backend() != Backend::Exact
-}
-
 // ---------------------------------------------------------------------------
 // Row kernels (dispatching).
 // ---------------------------------------------------------------------------
 
 /// `out[j] += sum_k a_row[k] * b[k][j]` for `j < out.len()`, over a
 /// row-major `b` with `bcols >= out.len()` columns, accumulating into `out`
-/// (callers zero it for a plain matmul). `out.len()` is the output-column
-/// limit: passing a prefix of the product row computes exactly that prefix,
-/// with the same per-element arithmetic in the same order, so the computed
-/// columns are bit-identical to the first `out.len()` of the full product.
-/// When `starts` is given, row `k` of `b` is treated as zero below column
-/// `starts[k]` — the packed-mask contract: the model layer permutes hidden
-/// units by MADE degree so every masked weight row is zero on a contiguous
-/// prefix, and the inner loop starts past it instead of testing a zero-skip
-/// branch per element. Rows whose start is at or past the limit are skipped.
-#[inline]
-pub fn matmul_row(a_row: &[f32], b: &[f32], bcols: usize, starts: Option<&[u32]>, out: &mut [f32]) {
-    matmul_row_with(backend(), a_row, b, bcols, starts, out)
-}
-
-/// [`matmul_row`] against an explicit backend (oracle tests / benches).
+/// (callers zero it for a plain matmul), on backend `be`. `out.len()` is the
+/// output-column limit: passing a prefix of the product row computes exactly
+/// that prefix, with the same per-element arithmetic in the same order, so
+/// the computed columns are bit-identical to the first `out.len()` of the
+/// full product. When `starts` is given, row `k` of `b` is treated as zero
+/// below column `starts[k]` — the packed-mask contract: the model layer
+/// permutes hidden units by MADE degree so every masked weight row is zero
+/// on a contiguous prefix, and the inner loop starts past it instead of
+/// testing a zero-skip branch per element. Rows whose start is at or past
+/// the limit are skipped.
 pub fn matmul_row_with(
     be: Backend,
     a_row: &[f32],
@@ -173,11 +104,12 @@ pub fn matmul_row_with(
     let n = out.len();
     match be {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2` is only ever selected (or kept by `set_backend`)
-        // when `is_x86_feature_detected!` confirmed avx2+fma; the slice
-        // bounds are asserted above.
-        Backend::Avx2 => unsafe { avx2::matmul_row(a_row, b, bcols, starts, out) },
-        Backend::Portable => {
+        // SAFETY: the guard confirmed avx2+fma at run time; the slice bounds
+        // are asserted above.
+        Backend::Avx2 if avx2_available() => unsafe {
+            avx2::matmul_row(a_row, b, bcols, starts, out)
+        },
+        _ => {
             for (k, &aik) in a_row.iter().enumerate() {
                 let s = starts.map_or(0, |st| st[k] as usize);
                 if aik == 0.0 || s >= n {
@@ -186,23 +118,11 @@ pub fn matmul_row_with(
                 axpy_unrolled(aik, &b[k * bcols + s..k * bcols + n], &mut out[s..]);
             }
         }
-        _ => {
-            for (k, &aik) in a_row.iter().enumerate() {
-                let s = starts.map_or(0, |st| st[k] as usize);
-                if aik == 0.0 || s >= n {
-                    continue;
-                }
-                let b_row = &b[k * bcols + s..k * bcols + n];
-                for (o, &bv) in out[s..].iter_mut().zip(b_row) {
-                    *o += aik * bv;
-                }
-            }
-        }
     }
 }
 
 /// 8-lane-unrolled `y += a * x`. Per-element arithmetic is unchanged, so
-/// this is bit-identical to the reference loop.
+/// this is bit-identical to the plain loop.
 fn axpy_unrolled(a: f32, x: &[f32], y: &mut [f32]) {
     let mut xc = x.chunks_exact(8);
     let mut yc = y.chunks_exact_mut(8);
@@ -221,18 +141,13 @@ fn axpy_unrolled(a: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// `out = x + bias`, one row.
-#[inline]
-pub fn add_bias_into_row(x: &[f32], bias: &[f32], out: &mut [f32]) {
-    add_bias_into_row_with(backend(), x, bias, out)
-}
-
-/// [`add_bias_into_row`] against an explicit backend.
+/// `out = x + bias`, one row, on backend `be`.
 pub fn add_bias_into_row_with(be: Backend, x: &[f32], bias: &[f32], out: &mut [f32]) {
+    assert!(x.len() == out.len() && bias.len() == out.len());
     match be {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 implies runtime-verified avx2+fma (see matmul_row).
-        Backend::Avx2 => unsafe { avx2::add_bias_into_row(x, bias, out) },
+        // SAFETY: the guard confirmed avx2+fma; the lengths are asserted above.
+        Backend::Avx2 if avx2_available() => unsafe { avx2::add_bias_into_row(x, bias, out) },
         _ => {
             for ((o, &xv), &bv) in out.iter_mut().zip(x).zip(bias) {
                 *o = xv + bv;
@@ -241,18 +156,13 @@ pub fn add_bias_into_row_with(be: Backend, x: &[f32], bias: &[f32], out: &mut [f
     }
 }
 
-/// `row += bias`, one row.
-#[inline]
-pub fn add_bias_row(row: &mut [f32], bias: &[f32]) {
-    add_bias_row_with(backend(), row, bias)
-}
-
-/// [`add_bias_row`] against an explicit backend.
+/// `row += bias`, one row, on backend `be`.
 pub fn add_bias_row_with(be: Backend, row: &mut [f32], bias: &[f32]) {
+    assert_eq!(row.len(), bias.len());
     match be {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 implies runtime-verified avx2+fma (see matmul_row).
-        Backend::Avx2 => unsafe { avx2::add_bias_row(row, bias) },
+        // SAFETY: the guard confirmed avx2+fma; the lengths are asserted above.
+        Backend::Avx2 if avx2_available() => unsafe { avx2::add_bias_row(row, bias) },
         _ => {
             for (o, &bv) in row.iter_mut().zip(bias) {
                 *o += bv;
@@ -261,18 +171,14 @@ pub fn add_bias_row_with(be: Backend, row: &mut [f32], bias: &[f32]) {
     }
 }
 
-/// Fused `row = relu(row + bias)`, one row — the hidden-layer epilogue.
-#[inline]
-pub fn add_bias_relu_row(row: &mut [f32], bias: &[f32]) {
-    add_bias_relu_row_with(backend(), row, bias)
-}
-
-/// [`add_bias_relu_row`] against an explicit backend.
+/// Fused `row = relu(row + bias)`, one row, on backend `be` — the
+/// hidden-layer epilogue.
 pub fn add_bias_relu_row_with(be: Backend, row: &mut [f32], bias: &[f32]) {
+    assert_eq!(row.len(), bias.len());
     match be {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 implies runtime-verified avx2+fma (see matmul_row).
-        Backend::Avx2 => unsafe { avx2::add_bias_relu_row(row, bias) },
+        // SAFETY: the guard confirmed avx2+fma; the lengths are asserted above.
+        Backend::Avx2 if avx2_available() => unsafe { avx2::add_bias_relu_row(row, bias) },
         _ => {
             for (o, &bv) in row.iter_mut().zip(bias) {
                 *o = (*o + bv).max(0.0);
@@ -281,30 +187,9 @@ pub fn add_bias_relu_row_with(be: Backend, row: &mut [f32], bias: &[f32]) {
     }
 }
 
-/// Numerically stable softmax of one row, written into `dst` in a single
-/// fused max/exp/normalize pass. A fully `-inf` row becomes uniform (the
-/// model treats it as an impossible region).
-#[inline]
-pub fn softmax_into(src: &[f32], dst: &mut [f32]) {
-    softmax_into_with(backend(), src, dst)
-}
-
-/// [`softmax_into`] against an explicit backend.
-pub fn softmax_into_with(be: Backend, src: &[f32], dst: &mut [f32]) {
-    debug_assert_eq!(src.len(), dst.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 implies runtime-verified avx2+fma; src/dst are
-        // distinct &/&mut slices of equal length.
-        Backend::Avx2 => unsafe {
-            avx2::softmax(src.as_ptr(), dst.as_mut_ptr(), src.len());
-        },
-        _ => softmax_into_scalar(src, dst),
-    }
-}
-
-/// In-place variant of [`softmax_into`]. Shares the same kernel per backend,
-/// so `softmax_rows_into` and `softmax_rows_in_place` stay bit-identical.
+/// Numerically stable in-place softmax of one row in a fused
+/// max/exp/normalize pass. A fully `-inf` row becomes uniform (the model
+/// treats it as an impossible region).
 #[inline]
 pub fn softmax_slice(xs: &mut [f32]) {
     softmax_slice_with(backend(), xs)
@@ -314,11 +199,8 @@ pub fn softmax_slice(xs: &mut [f32]) {
 pub fn softmax_slice_with(be: Backend, xs: &mut [f32]) {
     match be {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 implies runtime-verified avx2+fma; the kernel reads
-        // each element before overwriting it, so src == dst aliasing is fine.
-        Backend::Avx2 => unsafe {
-            avx2::softmax(xs.as_ptr(), xs.as_mut_ptr(), xs.len());
-        },
+        // SAFETY: the guard confirmed avx2+fma.
+        Backend::Avx2 if avx2_available() => unsafe { avx2::softmax(xs) },
         _ => {
             let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             if !max.is_finite() {
@@ -336,27 +218,6 @@ pub fn softmax_slice_with(be: Backend, xs: &mut [f32]) {
                 *x *= inv;
             }
         }
-    }
-}
-
-/// Reference scalar softmax-into: same arithmetic (and arithmetic order) as
-/// the in-place reference, reading from `src` instead of overwriting twice.
-fn softmax_into_scalar(src: &[f32], dst: &mut [f32]) {
-    let max = src.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    if !max.is_finite() {
-        let u = 1.0 / dst.len() as f32;
-        dst.fill(u);
-        return;
-    }
-    let mut sum = 0.0f32;
-    for (o, &x) in dst.iter_mut().zip(src) {
-        let e = (x - max).exp();
-        *o = e;
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for o in dst.iter_mut() {
-        *o *= inv;
     }
 }
 
@@ -576,33 +437,33 @@ pub(crate) mod avx2 {
         y * pow2
     }
 
-    /// Fused max/exp/normalize softmax over `n` elements from `src` into
-    /// `dst`. `src == dst` aliasing is allowed (each chunk is read before it
-    /// is written).
+    /// Fused max/exp/normalize softmax of `xs`, in place.
     ///
     /// # Safety
-    /// avx2+fma; both pointers valid for `n` f32s.
+    /// avx2+fma.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn softmax(src: *const f32, dst: *mut f32, n: usize) {
+    pub unsafe fn softmax(xs: &mut [f32]) {
+        let n = xs.len();
+        let p = xs.as_mut_ptr();
         let mut max = f32::NEG_INFINITY;
         let mut i = 0usize;
         if n >= 8 {
-            let mut mv = _mm256_loadu_ps(src);
+            let mut mv = _mm256_loadu_ps(p);
             i = 8;
             while i + 8 <= n {
-                mv = _mm256_max_ps(mv, _mm256_loadu_ps(src.add(i)));
+                mv = _mm256_max_ps(mv, _mm256_loadu_ps(p.add(i)));
                 i += 8;
             }
             max = hmax(mv);
         }
         while i < n {
-            max = max.max(*src.add(i));
+            max = max.max(*p.add(i));
             i += 1;
         }
         if !max.is_finite() {
             let u = 1.0 / n as f32;
             for j in 0..n {
-                *dst.add(j) = u;
+                *p.add(j) = u;
             }
             return;
         }
@@ -611,14 +472,14 @@ pub(crate) mod avx2 {
         let mut sum = 0.0f32;
         i = 0;
         while i + 8 <= n {
-            let e = exp256_ps(_mm256_sub_ps(_mm256_loadu_ps(src.add(i)), maxv));
-            _mm256_storeu_ps(dst.add(i), e);
+            let e = exp256_ps(_mm256_sub_ps(_mm256_loadu_ps(p.add(i)), maxv));
+            _mm256_storeu_ps(p.add(i), e);
             sumv = _mm256_add_ps(sumv, e);
             i += 8;
         }
         while i < n {
-            let e = exp_lane(*src.add(i) - max);
-            *dst.add(i) = e;
+            let e = exp_lane(*p.add(i) - max);
+            *p.add(i) = e;
             sum += e;
             i += 1;
         }
@@ -627,11 +488,11 @@ pub(crate) mod avx2 {
         let invv = _mm256_set1_ps(inv);
         i = 0;
         while i + 8 <= n {
-            _mm256_storeu_ps(dst.add(i), _mm256_mul_ps(_mm256_loadu_ps(dst.add(i)), invv));
+            _mm256_storeu_ps(p.add(i), _mm256_mul_ps(_mm256_loadu_ps(p.add(i)), invv));
             i += 8;
         }
         while i < n {
-            *dst.add(i) *= inv;
+            *p.add(i) *= inv;
             i += 1;
         }
     }
@@ -677,8 +538,19 @@ mod tests {
         d / a.abs().max(b.abs()).max(1e-30)
     }
 
+    /// The reference `out[j] += a[k] * b[k][j]` loop, zero-prefix rows
+    /// skipped, that `Scalar` must match bit for bit.
+    fn plain_matmul_row(a: &[f32], b: &[f32], n: usize, starts: Option<&[u32]>, out: &mut [f32]) {
+        for (k, &ak) in a.iter().enumerate() {
+            let s = starts.map_or(0, |st| st[k] as usize);
+            for j in s.min(out.len())..out.len() {
+                out[j] += ak * b[k * n + j];
+            }
+        }
+    }
+
     #[test]
-    fn portable_axpy_bit_matches_exact() {
+    fn scalar_axpy_bit_matches_plain_loop() {
         for n in [1usize, 7, 8, 9, 31, 32, 33, 128, 129] {
             let x = pseudo(n as u64, n, -2.0, 2.0);
             let mut y1 = pseudo(n as u64 + 1, n, -1.0, 1.0);
@@ -696,11 +568,11 @@ mod tests {
         for &(k, n) in &[(3usize, 5usize), (16, 64), (17, 128), (128, 131), (64, 1000)] {
             let a = pseudo(1, k, -1.0, 1.0);
             let b = pseudo(2, k * n, -1.0, 1.0);
-            let mut exact = vec![0.0f32; n];
-            let mut portable = vec![0.0f32; n];
-            matmul_row_with(Backend::Exact, &a, &b, n, None, &mut exact);
-            matmul_row_with(Backend::Portable, &a, &b, n, None, &mut portable);
-            assert_eq!(exact, portable, "portable must be bit-exact ({k}x{n})");
+            let mut plain = vec![0.0f32; n];
+            let mut scalar = vec![0.0f32; n];
+            plain_matmul_row(&a, &b, n, None, &mut plain);
+            matmul_row_with(Backend::Scalar, &a, &b, n, None, &mut scalar);
+            assert_eq!(plain, scalar, "scalar must be bit-exact ({k}x{n})");
             if avx2_available() {
                 let mut v = vec![0.0f32; n];
                 matmul_row_with(Backend::Avx2, &a, &b, n, None, &mut v);
@@ -708,7 +580,7 @@ mod tests {
                 // scales with the reduction depth, not the (possibly
                 // cancelled) result magnitude.
                 let tol = 1e-6 * (k as f32).max(8.0);
-                for (x, y) in exact.iter().zip(&v) {
+                for (x, y) in scalar.iter().zip(&v) {
                     assert!(
                         (x - y).abs() < tol || rel_err(*x, *y) < 1e-5,
                         "avx2 {x} vs {y} ({k}x{n})"
@@ -731,8 +603,8 @@ mod tests {
             }
         }
         let mut dense = vec![0.0f32; n];
-        matmul_row_with(Backend::Exact, &a, &b, n, None, &mut dense);
-        for be in [Backend::Exact, Backend::Portable, Backend::Avx2] {
+        plain_matmul_row(&a, &b, n, None, &mut dense);
+        for be in [Backend::Scalar, Backend::Avx2] {
             if be == Backend::Avx2 && !avx2_available() {
                 continue;
             }
@@ -748,6 +620,11 @@ mod tests {
                 matmul_row_with(be, &a, &b, n, Some(&starts), &mut prefix);
                 let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&prefix), bits(&out[..limit]), "{be:?} limit {limit}");
+                if be == Backend::Scalar {
+                    let mut want = vec![0.0f32; limit];
+                    plain_matmul_row(&a, &b, n, Some(&starts), &mut want);
+                    assert_eq!(bits(&prefix), bits(&want), "scalar vs plain, limit {limit}");
+                }
             }
         }
     }
@@ -797,33 +674,23 @@ mod tests {
     fn softmax_backends_agree() {
         for n in [1usize, 2, 7, 8, 9, 64, 100, 128, 1000] {
             let src = pseudo(n as u64 + 9, n, -8.0, 8.0);
-            let mut exact = vec![0.0f32; n];
-            softmax_into_with(Backend::Exact, &src, &mut exact);
-            let sum: f32 = exact.iter().sum();
+            let mut scalar = src.clone();
+            softmax_slice_with(Backend::Scalar, &mut scalar);
+            let sum: f32 = scalar.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
-            for be in [Backend::Portable, Backend::Avx2] {
-                if be == Backend::Avx2 && !avx2_available() {
-                    continue;
+            if avx2_available() {
+                let mut out = src.clone();
+                softmax_slice_with(Backend::Avx2, &mut out);
+                for (x, y) in scalar.iter().zip(&out) {
+                    assert!((x - y).abs() < 1e-6 || rel_err(*x, *y) < 1e-5, "n={n}: {x} vs {y}");
                 }
-                let mut out = vec![0.0f32; n];
-                softmax_into_with(be, &src, &mut out);
-                for (x, y) in exact.iter().zip(&out) {
-                    assert!(
-                        (x - y).abs() < 1e-6 || rel_err(*x, *y) < 1e-5,
-                        "{be:?} n={n}: {x} vs {y}"
-                    );
-                }
-                // In-place variant must match the into variant bit-for-bit.
-                let mut inplace = src.clone();
-                softmax_slice_with(be, &mut inplace);
-                assert_eq!(inplace, out, "{be:?} in-place vs into n={n}");
             }
         }
     }
 
     #[test]
     fn softmax_masked_and_uniform_rows() {
-        for be in [Backend::Exact, Backend::Portable, Backend::Avx2] {
+        for be in [Backend::Scalar, Backend::Avx2] {
             if be == Backend::Avx2 && !avx2_available() {
                 continue;
             }
@@ -839,8 +706,7 @@ mod tests {
 
     #[test]
     fn backend_detection_respects_availability() {
-        let b = detect_backend();
-        if b == Backend::Avx2 {
+        if detect_backend() == Backend::Avx2 {
             assert!(avx2_available());
         }
     }
@@ -850,25 +716,21 @@ mod tests {
         for n in [1usize, 5, 8, 13, 128, 130] {
             let x = pseudo(n as u64 + 40, n, -1.0, 1.0);
             let bias = pseudo(n as u64 + 41, n, -0.5, 0.5);
-            let mut exact_into = vec![0.0f32; n];
-            add_bias_into_row_with(Backend::Exact, &x, &bias, &mut exact_into);
-            let mut exact_relu = x.clone();
-            add_bias_relu_row_with(Backend::Exact, &mut exact_relu, &bias);
-            let mut exact_add = x.clone();
-            add_bias_row_with(Backend::Exact, &mut exact_add, &bias);
-            for be in [Backend::Portable, Backend::Avx2] {
+            let plain_into: Vec<f32> = x.iter().zip(&bias).map(|(&a, &b)| a + b).collect();
+            let plain_relu: Vec<f32> = plain_into.iter().map(|v| v.max(0.0)).collect();
+            for be in [Backend::Scalar, Backend::Avx2] {
                 if be == Backend::Avx2 && !avx2_available() {
                     continue;
                 }
                 let mut into = vec![0.0f32; n];
                 add_bias_into_row_with(be, &x, &bias, &mut into);
-                assert_eq!(into, exact_into, "{be:?} add_bias_into n={n}");
+                assert_eq!(into, plain_into, "{be:?} add_bias_into n={n}");
                 let mut relu = x.clone();
                 add_bias_relu_row_with(be, &mut relu, &bias);
-                assert_eq!(relu, exact_relu, "{be:?} add_bias_relu n={n}");
+                assert_eq!(relu, plain_relu, "{be:?} add_bias_relu n={n}");
                 let mut add = x.clone();
                 add_bias_row_with(be, &mut add, &bias);
-                assert_eq!(add, exact_add, "{be:?} add_bias n={n}");
+                assert_eq!(add, plain_into, "{be:?} add_bias n={n}");
             }
         }
     }

@@ -200,7 +200,6 @@ enum Op {
     Mul(NodeId, NodeId),
     Div(NodeId, NodeId),
     MulScalar(NodeId, f32),
-    AddScalar(NodeId),
     Relu(NodeId),
     Sigmoid(NodeId),
     Exp(NodeId),
@@ -559,11 +558,6 @@ impl<'a> Tape<'a> {
         self.map_op(x, Op::MulScalar(x, c), |v| v * c)
     }
 
-    /// `x + c`.
-    pub fn add_scalar(&mut self, x: NodeId, c: f32) -> NodeId {
-        self.map_op(x, Op::AddScalar(x), |v| v + c)
-    }
-
     /// Rectified linear unit.
     pub fn relu(&mut self, x: NodeId) -> NodeId {
         self.map_op(x, Op::Relu(x), |v| v.max(0.0))
@@ -838,9 +832,6 @@ impl<'a> Tape<'a> {
                 }
                 Op::MulScalar(x, c) => {
                     accumulate(node_grads, *x, gy.map(|g| g * c));
-                }
-                Op::AddScalar(x) => {
-                    accumulate(node_grads, *x, gy);
                 }
                 Op::Relu(x) => {
                     let xv = &values[x.index()];

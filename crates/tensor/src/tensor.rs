@@ -459,15 +459,6 @@ impl Tensor {
         }
     }
 
-    /// Row-wise numerically stable log-softmax.
-    pub fn log_softmax_rows(&self) -> Tensor {
-        let mut out = self.clone();
-        for r in 0..self.rows {
-            log_softmax_in_place(out.row_mut(r));
-        }
-        out
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -640,23 +631,6 @@ pub fn add_bias_assign(t: &mut Tensor, bias: &Tensor) {
     }
 }
 
-/// `out = relu(x)`.
-pub fn relu_into(x: &Tensor, out: &mut Tensor) {
-    map_into(x, out, |v| v.max(0.0));
-}
-
-/// `out = softmax_rows(x)`: a single fused max/exp/normalize pass per row,
-/// computed directly into `out` (no `copy_from` + in-place second pass).
-/// Bit-identical to [`Tensor::softmax_rows`] on every backend — both
-/// dispatch to the same per-row kernel.
-pub fn softmax_rows_into(x: &Tensor, out: &mut Tensor) {
-    out.resize(x.rows, x.cols);
-    let be = simd::backend();
-    for r in 0..x.rows {
-        simd::softmax_into_with(be, x.row(r), out.row_mut(r));
-    }
-}
-
 /// `out = f(x)` elementwise, reusing `out`'s buffer. Unrolled 4-wide so the
 /// closure call chain exposes independent element work to the scheduler;
 /// per-element arithmetic is unchanged.
@@ -787,10 +761,11 @@ mod tests {
     #[test]
     fn log_softmax_is_log_of_softmax() {
         let t = Tensor::from_vec(1, 4, vec![0.3, -1.2, 2.0, 0.0]);
-        let ls = t.log_softmax_rows();
+        let mut ls = t.row(0).to_vec();
+        log_softmax_in_place(&mut ls);
         let s = t.softmax_rows();
-        for c in 0..4 {
-            assert!((ls.at(0, c) - s.at(0, c).ln()).abs() < 1e-5);
+        for (c, l) in ls.iter().enumerate() {
+            assert!((l - s.at(0, c).ln()).abs() < 1e-5);
         }
     }
 
@@ -828,11 +803,8 @@ mod tests {
         add_bias_assign(&mut expect, &bias);
         assert_eq!(out, expect);
 
-        relu_into(&x, &mut out);
+        map_into(&x, &mut out, |v| v.max(0.0));
         assert_eq!(out, x.map(|v| v.max(0.0)));
-
-        softmax_rows_into(&x, &mut out);
-        assert_eq!(out, x.softmax_rows());
 
         zip_into(&x, &expect, &mut out, |a, b| a * b - 0.5);
         assert_eq!(out, x.zip(&expect, |a, b| a * b - 0.5));
