@@ -93,13 +93,17 @@ UAE_FORCE_SCALAR=1 cargo run --release --example chaos_drill
 test -s target/BENCH_recovery.json
 
 echo "== router smoke: model-fleet routing drill (default + scalar) =="
+# The drill serves its fleet through the server front end, so the file
+# holds `request_served` lines next to the `routed` ones.
 cargo run --release --example route_drill -- \
     --metrics-out target/routing_telemetry.jsonl
 test -s target/routing_telemetry.jsonl
 grep -q '"event":"routed"' target/routing_telemetry.jsonl
+grep -q '"event":"request_served"' target/routing_telemetry.jsonl
 UAE_FORCE_SCALAR=1 cargo run --release --example route_drill -- \
     --metrics-out target/routing_telemetry_scalar.jsonl
 test -s target/routing_telemetry_scalar.jsonl
 grep -q '"event":"routed"' target/routing_telemetry_scalar.jsonl
+grep -q '"event":"request_served"' target/routing_telemetry_scalar.jsonl
 
 echo "CI OK"

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use uae_bench::{prepare_single_table, BenchScale};
-use uae_core::{RouteConfig, RoutedFleet, Router, Uae};
+use uae_core::{serve_batch, RouteConfig, Router, Uae};
 use uae_estimators::{
     BayesNetEstimator, HistogramEstimator, KdeEstimator, LinearRegressionEstimator, MhistEstimator,
     MscnConfig, MscnEstimator, QuickSelEstimator, SamplingEstimator, SpnConfig, SpnEstimator,
@@ -39,6 +39,20 @@ fn qerrs(est: &dyn CardEstimator, test: &[LabeledQuery]) -> Vec<f64> {
         .zip(test)
         .map(|(&e, lq)| q_error(lq.cardinality as f64, e))
         .collect()
+}
+
+/// The fleet's per-query q-errors over `test`, served as one routed batch
+/// through [`serve_batch`], plus how many replies a backend answered.
+fn fleet_qerrs(primary: &Uae, router: &Router, test: &[LabeledQuery]) -> (Vec<f64>, usize) {
+    let queries: Vec<Query> = test.iter().map(|lq| lq.query.clone()).collect();
+    let replies = serve_batch(primary, Some(router), &queries, None);
+    let routed = replies.iter().filter(|(_, tag)| tag.is_some()).count();
+    let errs = replies
+        .iter()
+        .zip(test)
+        .map(|((r, _), lq)| q_error(lq.cardinality as f64, r.as_ref().map_or(0.0, |e| e.card)))
+        .collect();
+    (errs, routed)
 }
 
 fn quantile(errs: &[f64], q: f64) -> f64 {
@@ -131,7 +145,7 @@ fn main() {
             RouteConfig::default(),
         );
         eprintln!("[fleet] [{regime}] policy: {:?}", router.policy());
-        let fleet = RoutedFleet::new(Arc::new(uae.clone()), Arc::new(router));
+        let primary = uae.clone();
 
         // Every single-estimator baseline, freshly built per regime.
         let mut singles: Vec<(String, Box<dyn CardEstimator>)> = vec![
@@ -169,14 +183,14 @@ fn main() {
                 None => candidates.push(Candidate { name: name.clone(), errs: vec![errs] }),
             }
         }
-        let errs = qerrs(&fleet, &test);
+        let (errs, routed) = fleet_qerrs(&primary, &router, &test);
         eprintln!(
             "[fleet] [{regime}] {:<10} median {:.2}  p95 {:.1}  ({} routed / {} served, {:.0}s)",
             "Fleet",
             quantile(&errs, 0.5),
             quantile(&errs, 0.95),
-            fleet.serve_stats().routed,
-            fleet.serve_stats().served,
+            routed,
+            test.len(),
             t0.elapsed().as_secs_f64(),
         );
         fleet_errs.push(errs);

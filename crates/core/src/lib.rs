@@ -71,8 +71,8 @@ pub use persist::{
     JournalRecord, JournalReplay, PersistError, JOURNAL_FILE,
 };
 pub use route::{
-    BackendChoice, QueryShape, RouteConfig, RouteDecision, RouteFeaturizer, RoutePolicy,
-    RoutedFleet, Router, SelClass,
+    serve_batch, BackendChoice, QueryShape, RouteConfig, RouteDecision, RouteFeaturizer,
+    RoutePolicy, RoutedReply, Router, SelClass,
 };
 pub use serialize::{CheckpointError, LoadError};
 pub use serve::{

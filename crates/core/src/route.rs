@@ -16,13 +16,13 @@
 //! which the router determinism tests and the CI routing drill rely on.
 //!
 //! Routed answers are *deliberate choices*, not degradations: they carry
-//! [`EstimateSource::Routed`] with the backend's family tag and count in
-//! [`ServeStats::routed`], never in `fallbacks`.
+//! [`EstimateSource::Routed`] with the backend's family tag, and the
+//! serving front-end counts them in its `routed_requests`, never in
+//! `fallbacks`. [`serve_batch`] is the one routed serving path.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use uae_data::stats::ncc;
 use uae_data::Table;
 use uae_estimators::HistogramEstimator;
@@ -32,13 +32,24 @@ use uae_query::{
 
 use crate::estimator::Uae;
 use crate::serve::{check_columns, classify, Estimate, EstimateError, EstimateSource, Validation};
-use crate::telemetry::{Event, ServeStats, Sink};
 
-/// Thresholds of the query-shape featurizer and the calibration procedure.
+/// Rank-grid bins for the pairwise [`ncc`] correlation matrix.
+const CORR_BINS: usize = 16;
+/// AVI selectivity hint below which a query is classed `Narrow`.
+const NARROW_SEL: f64 = 1e-3;
+/// AVI selectivity hint at or above which a query is classed `Wide`.
+const WIDE_SEL: f64 = 0.2;
+/// Minimum held-out queries a shape class needs before calibration
+/// trusts a per-class winner over the global one.
+const MIN_CLASS_SUPPORT: usize = 8;
+/// A per-class override must shrink the class median q-error to at most
+/// this fraction of the global winner's class median (guards against
+/// noise flipping classes on thin evidence).
+const MIN_GAIN: f64 = 0.95;
+
+/// Thresholds of the query-shape featurizer and the threshold policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteConfig {
-    /// Rank-grid bins for the pairwise [`ncc`] correlation matrix.
-    pub corr_bins: usize,
     /// Touched-column correlation at or above which a query is considered
     /// to hit a correlated subspace (AVI-style independence products
     /// become unsafe).
@@ -46,30 +57,11 @@ pub struct RouteConfig {
     /// Column count at or above which the table counts as
     /// high-dimensional (the kddcup-like regime).
     pub wide_table: usize,
-    /// AVI selectivity hint below which a query is classed `Narrow`.
-    pub narrow_sel: f64,
-    /// AVI selectivity hint at or above which a query is classed `Wide`.
-    pub wide_sel: f64,
-    /// Minimum held-out queries a shape class needs before calibration
-    /// trusts a per-class winner over the global one.
-    pub min_class_support: usize,
-    /// A per-class override must shrink the class median q-error to at
-    /// most this fraction of the global winner's class median (guards
-    /// against noise flipping classes on thin evidence).
-    pub min_gain: f64,
 }
 
 impl Default for RouteConfig {
     fn default() -> Self {
-        RouteConfig {
-            corr_bins: 16,
-            high_corr: 0.3,
-            wide_table: 30,
-            narrow_sel: 1e-3,
-            wide_sel: 0.2,
-            min_class_support: 8,
-            min_gain: 0.95,
-        }
+        RouteConfig { high_corr: 0.3, wide_table: 30 }
     }
 }
 
@@ -78,11 +70,11 @@ impl Default for RouteConfig {
 pub enum SelClass {
     /// Provably empty region (selectivity exactly 0).
     Empty,
-    /// AVI hint below `narrow_sel` — the tail regime.
+    /// AVI hint below 1e-3 — the tail regime.
     Narrow,
-    /// Between `narrow_sel` and `wide_sel`.
+    /// Between the narrow and wide bounds.
     Medium,
-    /// At or above `wide_sel` — broad scans.
+    /// AVI hint at or above 0.2 — broad scans.
     Wide,
 }
 
@@ -146,7 +138,7 @@ impl RouteFeaturizer {
         let mut corr = vec![0.0f64; d * d];
         for a in 0..d {
             for b in (a + 1)..d {
-                let c = ncc(table.column(a), table.column(b), cfg.corr_bins);
+                let c = ncc(table.column(a), table.column(b), CORR_BINS);
                 corr[a * d + b] = c;
                 corr[b * d + a] = c;
             }
@@ -197,9 +189,9 @@ impl RouteFeaturizer {
             (0.0, SelClass::Empty)
         } else {
             let hint = self.hint.estimate_selectivity(query);
-            let class = if hint < self.cfg.narrow_sel {
+            let class = if hint < NARROW_SEL {
                 SelClass::Narrow
-            } else if hint >= self.cfg.wide_sel {
+            } else if hint >= WIDE_SEL {
                 SelClass::Wide
             } else {
                 SelClass::Medium
@@ -331,8 +323,8 @@ impl Router {
     /// candidate (the primary plus each backend) estimates the whole
     /// holdout, the global winner (blended median q-error, ties to the
     /// earliest candidate) becomes the default, and a class with at least
-    /// `min_class_support` queries overrides it only when its own winner
-    /// beats the default's class median by the configured gain.
+    /// 8 queries overrides it only when its own winner's class median is
+    /// at most 0.95 of the default's.
     ///
     /// Deterministic: candidates are scanned in fixed order and classes
     /// in ascending id. (The primary's RNG advances while estimating the
@@ -370,9 +362,8 @@ impl Router {
         for (i, &c) in classes.iter().enumerate() {
             members.entry(c).or_default().push(i);
         }
-        let cfg_ref = featurizer.config();
         for (&class, idxs) in &members {
-            if idxs.len() < cfg_ref.min_class_support {
+            if idxs.len() < MIN_CLASS_SUPPORT {
                 continue;
             }
             let winner = argmin_median(&errs, idxs);
@@ -381,7 +372,7 @@ impl Router {
             }
             let winner_med = median(idxs.iter().map(|&i| errs[winner][i]));
             let default_med = median(idxs.iter().map(|&i| errs[default_idx][i]));
-            if winner_med <= default_med * cfg_ref.min_gain {
+            if winner_med <= default_med * MIN_GAIN {
                 by_class.insert(class, candidate_choice(winner));
             }
         }
@@ -494,150 +485,59 @@ fn argmin_median(errs: &[Vec<f64>], idxs: &[usize]) -> usize {
     best
 }
 
-/// A primary [`Uae`] plus a [`Router`] bundled behind [`CardEstimator`] —
-/// the whole fleet as one estimator, for benchmarks, evaluation and
-/// standalone serving. Keeps fleet-level [`ServeStats`] (`routed` counts
-/// here, never in `fallbacks`) and emits [`Event::Routed`] to an
-/// attached sink.
-pub struct RoutedFleet {
-    name: String,
-    primary: Arc<Uae>,
-    router: Arc<Router>,
-    serve: Mutex<FleetServe>,
-}
+/// One reply of [`serve_batch`]: the estimate (or typed error) plus,
+/// when a fleet backend answered it, the `(backend index, shape class)`
+/// it was routed to.
+pub type RoutedReply = (Result<Estimate, EstimateError>, Option<(usize, u16)>);
 
-#[derive(Default)]
-struct FleetServe {
-    stats: ServeStats,
-    sink: Option<Box<dyn Sink>>,
-}
-
-impl RoutedFleet {
-    /// Bundle a primary model and a router into one estimator.
-    pub fn new(primary: Arc<Uae>, router: Arc<Router>) -> Self {
-        RoutedFleet {
-            name: "UAE-fleet".to_owned(),
-            primary,
-            router,
-            serve: Mutex::new(FleetServe::default()),
-        }
-    }
-
-    /// The router (decision replay, backend inspection).
-    pub fn router(&self) -> &Arc<Router> {
-        &self.router
-    }
-
-    /// The primary deep model.
-    pub fn primary(&self) -> &Arc<Uae> {
-        &self.primary
-    }
-
-    /// Fleet-level serving counters. `served`/`rejected`/`routed` count
-    /// every query through the fleet; cascade-internal counters (retries,
-    /// fallbacks) live on the primary's own [`Uae::serve_stats`].
-    pub fn serve_stats(&self) -> ServeStats {
-        self.serve.lock().stats.clone()
-    }
-
-    /// Attach a sink receiving [`Event::Routed`] for every query sent to
-    /// a fleet backend.
-    pub fn set_sink(&self, sink: Box<dyn Sink>) {
-        self.serve.lock().sink = Some(sink);
-    }
-
-    /// Detach the sink (dropping a JSONL sink flushes it).
-    pub fn take_sink(&self) -> Option<Box<dyn Sink>> {
-        self.serve.lock().sink.take()
-    }
-
-    /// Serve a batch through the fleet: every query is routed, the
-    /// primary's subset goes through its batched cascade (preserving its
-    /// one-draw-per-query RNG contract for that subset), and backend
-    /// queries answer directly with [`EstimateSource::Routed`] tags.
-    pub fn try_estimate_cards(&self, queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
-        let decisions = self.router.decide_batch(queries);
-        let mut primary_idx: Vec<usize> = Vec::new();
-        let mut primary_queries: Vec<Query> = Vec::new();
-        for (i, d) in decisions.iter().enumerate() {
-            if d.choice == BackendChoice::Primary {
-                primary_idx.push(i);
-                primary_queries.push(queries[i].clone());
+/// Serve a batch through `primary`, routed by `router` when one is set —
+/// the one routed serving path.
+///
+/// Without a router this is exactly one [`Uae::try_estimate_cards_with`]
+/// call. With one, [`Router::decide`] partitions the batch: the primary
+/// subset goes, in batch order, through one `try_estimate_cards_with`
+/// call (so the primary's RNG stream advances exactly as it would for
+/// that subset alone), and every other query is answered by
+/// [`Router::estimate_routed`]. The routing tag is `Some` only when the
+/// reply's source is [`EstimateSource::Routed`]: a validation shortcut
+/// or a rejected query on a routed decision was not answered by the
+/// backend.
+pub fn serve_batch(
+    primary: &Uae,
+    router: Option<&Router>,
+    queries: &[Query],
+    samples: Option<usize>,
+) -> Vec<RoutedReply> {
+    let Some(router) = router else {
+        return primary
+            .try_estimate_cards_with(queries, samples)
+            .into_iter()
+            .map(|r| (r, None))
+            .collect();
+    };
+    let decisions = router.decide_batch(queries);
+    let primary_queries: Vec<Query> = decisions
+        .iter()
+        .zip(queries)
+        .filter(|(d, _)| d.choice == BackendChoice::Primary)
+        .map(|(_, q)| q.clone())
+        .collect();
+    let mut primary_replies =
+        primary.try_estimate_cards_with(&primary_queries, samples).into_iter();
+    decisions
+        .iter()
+        .zip(queries)
+        .map(|(d, q)| match d.choice {
+            BackendChoice::Primary => {
+                (primary_replies.next().expect("one reply per primary query"), None)
             }
-        }
-        let primary_results = self.primary.try_estimate_cards(&primary_queries);
-        let mut out: Vec<Option<Result<Estimate, EstimateError>>> = vec![None; queries.len()];
-        for (slot, res) in primary_idx.into_iter().zip(primary_results) {
-            out[slot] = Some(res);
-        }
-        let mut serve = self.serve.lock();
-        for (i, d) in decisions.iter().enumerate() {
-            let index = serve.stats.served;
-            serve.stats.served += 1;
-            if let BackendChoice::Backend(b) = d.choice {
-                let res = self.router.estimate_routed(b, &queries[i]);
-                match &res {
-                    Ok(e) if e.source.is_routed() => {
-                        serve.stats.routed += 1;
-                        if e.clamped {
-                            serve.stats.clamped += 1;
-                        }
-                        let event = Event::Routed {
-                            index,
-                            backend: self.router.backends()[b].name().to_owned(),
-                            family: self.router.backends()[b].family().label(),
-                            class: d.class,
-                        };
-                        if let Some(sink) = serve.sink.as_mut() {
-                            sink.emit(&event);
-                        }
-                    }
-                    Ok(_) => {
-                        // Validation shortcut: counted as served only.
-                    }
-                    Err(_) => serve.stats.rejected += 1,
-                }
-                out[i] = Some(res);
+            BackendChoice::Backend(b) => {
+                let reply = router.estimate_routed(b, q);
+                let tag = matches!(&reply, Ok(e) if e.source.is_routed()).then_some((b, d.class));
+                (reply, tag)
             }
-        }
-        out.into_iter().map(|r| r.expect("every query answered")).collect()
-    }
-
-    /// Serve one query (routing still applies).
-    pub fn try_estimate_card(&self, query: &Query) -> Result<Estimate, EstimateError> {
-        self.try_estimate_cards(std::slice::from_ref(query)).pop().expect("one result")
-    }
-}
-
-impl CardEstimator for RoutedFleet {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn num_rows(&self) -> f64 {
-        self.router.featurizer().table().num_rows() as f64
-    }
-
-    fn estimate_selectivity(&self, query: &Query) -> f64 {
-        self.try_estimate_card(query).map_or(0.0, |e| e.selectivity)
-    }
-
-    fn estimate_card(&self, query: &Query) -> f64 {
-        self.try_estimate_card(query).map_or(0.0, |e| e.card)
-    }
-
-    fn estimate_cards(&self, queries: &[Query]) -> Vec<f64> {
-        self.try_estimate_cards(queries).into_iter().map(|r| r.map_or(0.0, |e| e.card)).collect()
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.primary.size_bytes()
-            + self.router.backends().iter().map(|b| b.size_bytes()).sum::<usize>()
-    }
-
-    fn family(&self) -> EstimatorFamily {
-        EstimatorFamily::Fleet
-    }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -713,32 +613,5 @@ mod tests {
         let empty = router.estimate_routed(0, &Query::new(vec![Predicate::eq(0, 999i64)])).unwrap();
         assert_eq!(empty.source, EstimateSource::Validation);
         assert_eq!(empty.card, 0.0);
-    }
-    #[test]
-    fn routed_events_carry_the_fleet_serving_index() {
-        let t = corr_table();
-        let hist: Arc<dyn CardEstimator> = Arc::new(HistogramEstimator::new(&t, 16));
-        // Every shape is "wide" and "uncorrelated": all queries route.
-        let cfg = RouteConfig { wide_table: 1, high_corr: 2.0, ..RouteConfig::default() };
-        let router = Router::threshold(&t, vec![hist], cfg);
-        let uae = Uae::new(&t, crate::UaeConfig::default());
-        let fleet = RoutedFleet::new(Arc::new(uae), Arc::new(router));
-        let (sink, log) = crate::telemetry::MemorySink::new();
-        fleet.set_sink(Box::new(sink));
-        let batch = [Predicate::eq(0, 3i64), Predicate::le(1, 9i64), Predicate::eq(2, 1i64)]
-            .map(|p| Query::new(vec![p]));
-        for _ in 0..2 {
-            assert!(fleet.try_estimate_cards(&batch).iter().all(|r| r.is_ok()));
-        }
-        let indices: Vec<u64> = log
-            .lock()
-            .unwrap()
-            .iter()
-            .filter_map(|e| match e {
-                Event::Routed { index, .. } => Some(*index),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(indices, (0..6).collect::<Vec<u64>>(), "one index per served query");
     }
 }

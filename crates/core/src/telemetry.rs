@@ -89,12 +89,6 @@ pub struct ServeStats {
     /// queue drain under load; results carry
     /// [`crate::serve::EstimateSource::ModelDegraded`]).
     pub degraded: u64,
-    /// Queries a routing policy sent to a fleet backend instead of the
-    /// deep model (results carry
-    /// [`crate::serve::EstimateSource::Routed`]). Deliberate shape-based
-    /// choices, **not** counted in `fallbacks` — a routed answer is not a
-    /// degradation.
-    pub routed: u64,
 }
 
 /// Why the serving front-end closed a micro-batch and handed it to an
@@ -127,9 +121,10 @@ impl std::fmt::Display for FlushReason {
 }
 
 /// One telemetry event. Each variant is named after the `"event"` tag of
-/// its JSONL line. Serving events carry `index`, the query's serving index
-/// — the value of the emitter's served-query counter when the query
-/// arrived. Online events carry `t_ns`, the loop's nanosecond clock
+/// its JSONL line. Model serving events carry `index`, the query's serving
+/// index — the value of the model's served-query counter when the query
+/// arrived; front-end events (`Routed`, `RequestServed`) carry the
+/// server-wide request id instead. Online events carry `t_ns`, the loop's nanosecond clock
 /// supplied by the caller of [`crate::online::OnlineTrainer::round`], so
 /// tests drive it from a mock clock and replays stamp identical times.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,11 +222,13 @@ pub enum Event {
         /// Requests still queued (submitted, not yet executed) at flush.
         queue_depth: usize,
     },
-    /// A routing policy sent the query to a fleet backend instead of the
-    /// deep model.
+    /// A fleet backend, chosen by the tenant's routing policy, answered
+    /// the request instead of the deep model. Emitted only by the serving
+    /// front-end, and only for backend-served replies (never for a
+    /// validation shortcut).
     Routed {
-        /// Serving index (or server-wide request sequence number when
-        /// emitted by the concurrent front-end).
+        /// Server-wide request sequence number (the request's
+        /// `Ticket::id`).
         index: u64,
         /// Name of the backend that answered (e.g. `"DeepDB"`).
         backend: String,

@@ -8,7 +8,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use uae_core::{
-    BackendChoice, ResMadeConfig, RouteConfig, RoutedFleet, Router, TrainConfig, Uae, UaeConfig,
+    serve_batch, BackendChoice, EstimateSource, ResMadeConfig, RouteConfig, Router, TrainConfig,
+    Uae, UaeConfig,
 };
 use uae_data::{kddcup_like, Table, Value};
 use uae_estimators::{HistogramEstimator, SpnConfig, SpnEstimator};
@@ -99,30 +100,31 @@ fn calibrated_policies_are_reproducible() {
     assert_eq!(a.decide_batch(&probe), b.decide_batch(&probe));
 }
 
-/// End-to-end fleet replay: two fleets over cloned primaries and the
-/// same router serve the whole workload bit-identically — the primary's
-/// RNG stream advances only for the queries routed to it, so identical
-/// decisions imply identical streams.
+/// End-to-end fleet replay: [`serve_batch`] over two cloned primaries
+/// and the same router serves the whole workload bit-identically — the
+/// primary's RNG stream advances only for the queries routed to it, so
+/// identical decisions imply identical streams.
 #[test]
 fn fleet_serves_bit_identically_on_replay() {
     let t = wide_table();
     let uae = quick_uae(&t);
     let mut queries: Vec<Query> = workload(&t, 30, 29).into_iter().map(|lq| lq.query).collect();
     queries.extend(correlated_queries());
-    let router = Arc::new(Router::threshold(&t, backends(&t), test_cfg()));
+    let router = Router::threshold(&t, backends(&t), test_cfg());
 
-    let fleet_a = RoutedFleet::new(Arc::new(uae.clone()), router.clone());
-    let fleet_b = RoutedFleet::new(Arc::new(uae.clone()), router);
-
-    let ra = fleet_a.try_estimate_cards(&queries);
-    let rb = fleet_b.try_estimate_cards(&queries);
+    let (primary_a, primary_b) = (uae.clone(), uae.clone());
+    let ra = serve_batch(&primary_a, Some(&router), &queries, None);
+    let rb = serve_batch(&primary_b, Some(&router), &queries, None);
     assert_eq!(ra, rb, "fleet replies must replay bit-identically");
-    assert_eq!(fleet_a.serve_stats(), fleet_b.serve_stats());
-    assert!(fleet_a.serve_stats().routed > 0, "the replay must exercise the routed path");
-    assert!(
-        fleet_a.primary().serve_stats().served > 0,
-        "correlated shapes must still reach the primary"
-    );
+    assert_eq!(primary_a.serve_stats(), primary_b.serve_stats());
+    let routed = ra.iter().filter(|(_, tag)| tag.is_some()).count();
+    assert!(routed > 0, "the replay must exercise the routed path");
+    for (reply, tag) in &ra {
+        let routed_source =
+            reply.as_ref().is_ok_and(|e| matches!(e.source, EstimateSource::Routed(_)));
+        assert_eq!(tag.is_some(), routed_source, "tagged exactly when a backend answered");
+    }
+    assert!(primary_a.serve_stats().served > 0, "correlated shapes must still reach the primary");
 }
 
 /// A predicate on a column the table does not have must not panic the

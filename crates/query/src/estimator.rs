@@ -40,8 +40,6 @@ pub enum EstimatorFamily {
     Mixture,
     /// Workload-aware histogram (STHoles-style).
     WorkloadHistogram,
-    /// A routed fleet of heterogeneous backends.
-    Fleet,
     /// Anything else (test doubles, wrappers).
     Other,
 }
@@ -60,7 +58,6 @@ impl EstimatorFamily {
             EstimatorFamily::Regression => "regression",
             EstimatorFamily::Mixture => "mixture",
             EstimatorFamily::WorkloadHistogram => "stholes",
-            EstimatorFamily::Fleet => "fleet",
             EstimatorFamily::Other => "other",
         }
     }
@@ -244,7 +241,6 @@ mod tests {
     #[test]
     fn family_labels_are_stable() {
         assert_eq!(EstimatorFamily::Autoregressive.label(), "autoregressive");
-        assert_eq!(EstimatorFamily::Fleet.label(), "fleet");
         assert!(QueryCost::Trivial < QueryCost::Expensive);
     }
 

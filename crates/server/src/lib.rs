@@ -15,8 +15,8 @@
 //! * [`Server`] — threads wiring them together: a bounded submission
 //!   queue with typed [`SubmitError::Overloaded`] backpressure, one
 //!   dispatcher, a pool of batch executors driving
-//!   [`uae_core::Uae::try_estimate_cards_with`] so the full fallback
-//!   cascade applies per micro-batch, and a latency-SLO degradation
+//!   [`uae_core::serve_batch`] so a tenant's router and the full fallback
+//!   cascade apply per micro-batch, and a latency-SLO degradation
 //!   ladder that shrinks the progressive-sample budget under load
 //!   (tagged [`uae_core::EstimateSource::ModelDegraded`]).
 //! * [`OnlineLearner`] — the background `uae-online` thread closing the
@@ -35,7 +35,9 @@
 //! tenant's RNG stream advances in flush order. The escape hatch is
 //! [`ServerConfig::deterministic`] — one executor, unbounded batch,
 //! paused dispatcher — under which a submitted sequence replays as a
-//! single batch bit-identical to [`uae_core::Uae::try_estimate_cards`].
+//! single batch bit-identical to [`uae_core::serve_batch`] over the
+//! tenant's model and router (without a router:
+//! [`uae_core::Uae::try_estimate_cards`]).
 
 pub mod batcher;
 pub mod manifest;

@@ -18,8 +18,8 @@
 //!   the journal is compacted to an empty header, so a second crash
 //!   immediately after recovery replays to the same fleet.
 //!
-//! [`recover_registry`] rebuilds a [`Registry`]; [`crate::Server::recover`]
-//! wraps it and immediately starts serving on the recovered fleet.
+//! [`recover_registry`] rebuilds a [`Registry`]; pass it to
+//! [`crate::Server::start`] to serve on the recovered fleet.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};

@@ -31,8 +31,8 @@ use crate::manifest::{Manifest, ManifestEntry};
 /// | rung | condition | per-query budget |
 /// |---|---|---|
 /// | 0 | nominal | the tenant's configured `estimate_samples` |
-/// | 1 | queue depth **or** observed p99 over threshold | `degraded_fraction` × configured |
-/// | 2 | **both** over threshold | `floor_fraction` × configured |
+/// | 1 | queue depth **or** observed p99 over threshold | 0.25 × configured |
+/// | 2 | **both** over threshold | 0.1 × configured |
 ///
 /// Degraded batches run through the same cascade; their results carry
 /// [`uae_core::EstimateSource::ModelDegraded`] and count into
@@ -41,8 +41,10 @@ use crate::manifest::{Manifest, ManifestEntry};
 /// Engagement is **hysteretic** (via [`DegradeConfig::step`] over a
 /// per-tenant [`LadderState`]): a signal goes hot the moment its metric
 /// crosses the entry threshold, but goes cold only once the metric has
-/// dropped into the exit band (`threshold × exit_fraction`) *and* the
-/// signal has not re-crossed the entry threshold for `cooldown_ns`.
+/// dropped into the exit band (`threshold × 0.8`) *and* the signal has
+/// not re-crossed the entry threshold for 100 ms. The rung fractions,
+/// the exit band and the cooldown are constants; only the two entry
+/// thresholds are configurable.
 /// Load oscillating right at a threshold therefore cannot flap the
 /// ladder between rungs every batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,32 +56,25 @@ pub struct DegradeConfig {
     /// which rung 1 engages, in milliseconds. `0.0` disables the latency
     /// signal.
     pub p99_target_ms: f64,
-    /// Rung-1 budget as a fraction of the tenant's configured
-    /// `estimate_samples`.
-    pub degraded_fraction: f64,
-    /// Rung-2 budget fraction (both signals firing).
-    pub floor_fraction: f64,
-    /// A hot signal disengages only below `threshold × exit_fraction` —
-    /// the hysteresis band. Values at or above `1.0` collapse the band
-    /// (exit at the entry threshold, pre-hysteresis behaviour).
-    pub exit_fraction: f64,
-    /// A hot signal additionally stays hot for this long after it last
-    /// crossed its entry threshold, regardless of the exit band.
-    pub cooldown_ns: u64,
 }
 
 impl Default for DegradeConfig {
     fn default() -> Self {
-        DegradeConfig {
-            queue_depth_threshold: 256,
-            p99_target_ms: 0.0,
-            degraded_fraction: 0.25,
-            floor_fraction: 0.1,
-            exit_fraction: 0.8,
-            cooldown_ns: 100_000_000, // 100ms
-        }
+        DegradeConfig { queue_depth_threshold: 256, p99_target_ms: 0.0 }
     }
 }
+
+/// Rung-1 budget as a fraction of the tenant's configured
+/// `estimate_samples`.
+const DEGRADED_FRACTION: f64 = 0.25;
+/// Rung-2 budget fraction (both signals firing).
+const FLOOR_FRACTION: f64 = 0.1;
+/// A hot signal disengages only below `threshold × EXIT_FRACTION` — the
+/// hysteresis band.
+const EXIT_FRACTION: f64 = 0.8;
+/// A hot signal additionally stays hot for this long after it last
+/// crossed its entry threshold, regardless of the exit band.
+const COOLDOWN_NS: u64 = 100_000_000; // 100 ms
 
 /// One load signal's hysteresis state: whether it is hot, and when it
 /// last crossed its entry threshold (the cooldown clock).
@@ -108,15 +103,15 @@ impl LadderState {
 impl DegradeConfig {
     /// A ladder that never engages (full budget regardless of load).
     pub fn disabled() -> Self {
-        DegradeConfig { queue_depth_threshold: 0, p99_target_ms: 0.0, ..Self::default() }
+        DegradeConfig { queue_depth_threshold: 0, p99_target_ms: 0.0 }
     }
 
     /// Map hot signals to a shrunken budget (`None` = full budget).
     fn rung_budget(&self, configured: usize, depth_hot: bool, lat_hot: bool) -> Option<usize> {
         let fraction = match (depth_hot, lat_hot) {
             (false, false) => return None,
-            (true, true) => self.floor_fraction,
-            _ => self.degraded_fraction,
+            (true, true) => FLOOR_FRACTION,
+            _ => DEGRADED_FRACTION,
         };
         let shrunk = ((configured as f64 * fraction).round() as usize).max(1);
         (shrunk < configured).then_some(shrunk)
@@ -140,8 +135,8 @@ impl DegradeConfig {
             st.hot = true;
             st.hot_at_ns = now_ns; // every re-cross restarts the cooldown
         } else if st.hot
-            && value <= threshold * self.exit_fraction
-            && now_ns.saturating_sub(st.hot_at_ns) >= self.cooldown_ns
+            && value <= threshold * EXIT_FRACTION
+            && now_ns.saturating_sub(st.hot_at_ns) >= COOLDOWN_NS
         {
             st.hot = false;
         }
@@ -363,7 +358,7 @@ impl Registry {
                 tenant
             }
         };
-        self.sync_tenant_best_effort(&name);
+        let _ = self.sync_manifest();
         tenant
     }
 
@@ -403,7 +398,7 @@ impl Registry {
             self.swap_epoch.fetch_add(1, Ordering::SeqCst);
             prior
         };
-        self.sync_tenant_best_effort(name);
+        let _ = self.sync_manifest();
         Ok(prior)
     }
 
@@ -420,7 +415,7 @@ impl Registry {
             *tenant.router.write() = router;
             self.swap_epoch.fetch_add(1, Ordering::SeqCst);
         }
-        self.sync_tenant_best_effort(name);
+        let _ = self.sync_manifest();
         Ok(())
     }
 
@@ -521,12 +516,6 @@ impl Registry {
     pub fn last_persist_error(&self) -> Option<String> {
         self.last_persist_error.lock().clone()
     }
-
-    /// Best-effort manifest sync after a publication touching `name`:
-    /// never fails the publication, only counts the failure.
-    fn sync_tenant_best_effort(&self, _name: &str) {
-        let _ = self.sync_manifest();
-    }
 }
 
 #[cfg(test)]
@@ -535,13 +524,7 @@ mod tests {
 
     #[test]
     fn degrade_ladder_rungs() {
-        let d = DegradeConfig {
-            queue_depth_threshold: 10,
-            p99_target_ms: 5.0,
-            degraded_fraction: 0.25,
-            floor_fraction: 0.1,
-            ..DegradeConfig::default()
-        };
+        let d = DegradeConfig { queue_depth_threshold: 10, p99_target_ms: 5.0 };
         // Each case starts from a fresh (all-cold) ladder, so a signal is
         // hot exactly when its metric is over the entry threshold.
         let fresh = |d: &DegradeConfig, configured, depth, p99| {
@@ -570,13 +553,7 @@ mod tests {
     #[test]
     fn degrade_ladder_hysteresis_does_not_flap_on_boundary_straddling_load() {
         let ms = 1_000_000u64;
-        let d = DegradeConfig {
-            queue_depth_threshold: 10,
-            p99_target_ms: 0.0,
-            exit_fraction: 0.8,
-            cooldown_ns: 50 * ms,
-            ..DegradeConfig::default()
-        };
+        let d = DegradeConfig { queue_depth_threshold: 10, p99_target_ms: 0.0 };
         let mut st = LadderState::default();
 
         // Below threshold: full budget, signal cold.
@@ -593,15 +570,16 @@ mod tests {
             let depth = if t % 2 == 0 { 11 } else { 10 };
             assert_eq!(d.step(&mut st, 1000, depth, 0.0, t * ms), Some(250), "flapped at t={t}");
         }
-        // Drop clearly below the exit band, but within the cooldown of
-        // the last entry-crossing (t=98ms + 50ms): still degraded.
-        assert_eq!(d.step(&mut st, 1000, 2, 0.0, 120 * ms), Some(250));
+        // Drop clearly below the exit band, but within the 100 ms
+        // cooldown of the last entry-crossing (t=98ms + 100ms): still
+        // degraded.
+        assert_eq!(d.step(&mut st, 1000, 2, 0.0, 170 * ms), Some(250));
         assert!(st.depth_hot());
         // Same load after the cooldown expires: the ladder disengages.
-        assert_eq!(d.step(&mut st, 1000, 2, 0.0, 149 * ms), None);
+        assert_eq!(d.step(&mut st, 1000, 2, 0.0, 199 * ms), None);
         assert!(!st.depth_hot());
         // Re-entry is immediate again.
-        assert_eq!(d.step(&mut st, 1000, 11, 0.0, 150 * ms), Some(250));
+        assert_eq!(d.step(&mut st, 1000, 11, 0.0, 200 * ms), Some(250));
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   whichever first. At flush time it consults the degradation ladder
 //!   (queue depth + rolling p99) to pick the batch's sample budget, then
 //!   enqueues a [`BatchJob`] for the executors.
-//! * **Executors** (a small pool) run each job through
-//!   [`Uae::try_estimate_cards_with`] — so the whole validation → sample →
-//!   retry → baseline → clamp cascade applies per micro-batch — and fill
+//! * **Executors** (a small pool) run each job through one
+//!   [`uae_core::serve_batch`] call — so the tenant's router (if any)
+//!   partitions the batch and the whole validation → sample → retry →
+//!   baseline → clamp cascade applies to the primary's share — and fill
 //!   every request's reply slot. A panic in the batch attempt is caught;
 //!   only that batch's requests see [`ServerError::ExecutorPanic`], and
 //!   the executor thread survives.
@@ -36,7 +37,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
-use uae_core::{BackendChoice, Estimate, EstimateError, EstimateSource, Event, FlushReason, Sink};
+use uae_core::{serve_batch, Estimate, EstimateError, EstimateSource, Event, FlushReason, Sink};
 use uae_query::{CardEstimator, LabeledQuery, Query};
 
 use crate::batcher::{MicroBatcher, Poll};
@@ -82,17 +83,10 @@ pub struct ServerConfig {
     /// Batch-executor threads. `1` plus `max_batch = usize::MAX` is the
     /// deterministic replay configuration.
     pub executors: usize,
-    /// Override the shared tensor-pool worker count before serving
-    /// (`None` leaves the pool's own default / `UAE_POOL_THREADS`
-    /// untouched). The pool runs the matmuls and also the progressive
-    /// sampler's query shards, so a micro-batch of 16+ queries spreads
-    /// over it; `Some(1)` keeps every batch on its executor thread and
-    /// turns sharding off.
-    pub kernel_threads: Option<usize>,
     /// Degradation ladder, applied to every tenant.
     pub degrade: DegradeConfig,
     /// Rolling end-to-end latency window size feeding the ladder's p99
-    /// signal and [`Server::p99_ms`].
+    /// signal and [`ServerStats::p99_ms`].
     pub latency_window: usize,
     /// Front-end fault injection (executor-level panics).
     pub fault: ServerFaultPlan,
@@ -115,7 +109,6 @@ impl Default for ServerConfig {
             max_delay: Duration::from_millis(2),
             queue_capacity: 1024,
             executors: 2,
-            kernel_threads: None,
             degrade: DegradeConfig::default(),
             latency_window: 512,
             fault: ServerFaultPlan::default(),
@@ -427,9 +420,6 @@ pub struct Server {
 impl Server {
     /// Spawn the dispatcher and executor pool over `registry`.
     pub fn start(registry: Arc<Registry>, cfg: ServerConfig) -> Server {
-        if let Some(threads) = cfg.kernel_threads {
-            uae_tensor::configure_pool_threads(threads);
-        }
         let shared = Arc::new(Shared {
             registry: registry.clone(),
             stats: ServerStatsCell::default(),
@@ -471,26 +461,6 @@ impl Server {
             executors,
             cfg,
         }
-    }
-
-    /// Cold-start the server from a durable state directory: run
-    /// [`crate::recover::recover_registry`] over `dir` — replaying the
-    /// promotion journal against the tenant manifest, quarantining
-    /// anything corrupt, republishing the last provably-good version per
-    /// tenant — then start serving on the recovered fleet.
-    ///
-    /// `builder` produces each tenant's base (seed) model, exactly as at
-    /// first registration; see [`crate::recover::recover_registry`] for
-    /// the full contract. The returned [`RecoveryReport`] carries the
-    /// per-tenant verdicts and the recovery-time (unavailability) window.
-    pub fn recover(
-        dir: &std::path::Path,
-        cfg: ServerConfig,
-        builder: &mut dyn FnMut(&str) -> Option<uae_core::Uae>,
-        sink: Option<&mut dyn Sink>,
-    ) -> Result<(Server, crate::recover::RecoveryReport), uae_core::PersistError> {
-        let (registry, report) = crate::recover::recover_registry(dir, builder, None, sink)?;
-        Ok((Server::start(registry, cfg), report))
     }
 
     /// The tenant registry this server serves from.
@@ -609,13 +579,8 @@ impl Server {
         self.shared.labels.lock().map.len()
     }
 
-    /// Pause the dispatcher: accepted requests queue up (to capacity)
-    /// but nothing flushes until [`Server::resume`].
-    pub fn pause(&self) {
-        *self.shared.gate.paused.lock().expect("pause gate poisoned") = true;
-    }
-
-    /// Resume a paused dispatcher.
+    /// Resume a dispatcher started paused
+    /// ([`ServerConfig::start_paused`]).
     pub fn resume(&self) {
         *self.shared.gate.paused.lock().expect("pause gate poisoned") = false;
         self.shared.gate.cv.notify_all();
@@ -635,17 +600,6 @@ impl Server {
     /// this also witnesses swap-time hygiene in tests.
     pub fn latency_samples(&self) -> usize {
         self.shared.latency.len()
-    }
-
-    /// Current in-flight requests (accepted, not yet replied).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.stats.depth()
-    }
-
-    /// Rolling-window p99 end-to-end latency (ms); `0.0` before any
-    /// completion.
-    pub fn p99_ms(&self) -> f64 {
-        self.shared.latency.quantile(0.99)
     }
 
     /// Close the front door, drain every pending request as final
@@ -808,7 +762,10 @@ fn flush(
         shared.latency.reset();
     }
     let queue_depth = shared.stats.depth();
-    let p99_ms = shared.latency.quantile(0.99);
+    // The ladder ignores p99 while its latency signal is off; skip the
+    // clone-and-sort of the latency ring then.
+    let p99_ms =
+        if shared.degrade.p99_target_ms > 0.0 { shared.latency.quantile(0.99) } else { 0.0 };
     let configured = tenant.model().estimate_samples();
     let samples_override =
         tenant.degrade_budget(&shared.degrade, configured, queue_depth, p99_ms, now_ns);
@@ -837,76 +794,32 @@ fn executor_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Execute one micro-batch end to end: route (when the tenant holds a
-/// fleet), model call (panic-isolated), replies, latency accounting,
-/// telemetry.
-///
-/// Without a router the batch runs exactly as before — one
-/// `try_estimate_cards_with` call over every query. With one, each
-/// query's [`RouteDecision`](uae_core::RouteDecision) partitions the
-/// batch: the primary subset still goes through the model's full
-/// cascade (in batch order, so the sampler's RNG stream matches a
-/// router-replay of the same workload), while routed queries are
-/// answered by the chosen baseline backend and tagged
-/// [`EstimateSource::Routed`].
-/// Per-request batch outcome: the estimate (or error) plus, when a
-/// router served it, the `(backend index, shape class)` it was routed to.
-type BatchOutcome = (Result<Estimate, ServerError>, Option<(usize, u16)>);
-
+/// Execute one micro-batch end to end: one panic-isolated
+/// [`uae_core::serve_batch`] call (routed when the tenant holds a
+/// router), replies, latency accounting, telemetry. Routed replies count
+/// in `routed_requests` and emit [`Event::Routed`] keyed by request id.
 fn run_batch(shared: &Arc<Shared>, job: BatchJob) {
     let n = job.requests.len();
     let queries: Vec<Query> = job.requests.iter().map(|r| r.query.clone()).collect();
     let model = job.tenant.model();
     let router = job.tenant.router();
     let exec_start = Instant::now();
-    // Each slot: the estimate plus, for routed queries, the backend
-    // index and shape class (for the `Routed` telemetry event).
-    type Slot = (Result<Estimate, EstimateError>, Option<(usize, u16)>);
-    let attempt = catch_unwind(AssertUnwindSafe(|| -> Vec<Slot> {
+    let attempt = catch_unwind(AssertUnwindSafe(|| {
         if shared.fault.panics(job.seq) {
             panic!("uae-server: fault-plan panic (batch {})", job.seq);
         }
-        match router.as_deref() {
-            None => model
-                .try_estimate_cards_with(&queries, job.samples_override)
-                .into_iter()
-                .map(|r| (r, None))
-                .collect(),
-            Some(router) => {
-                let decisions = router.decide_batch(&queries);
-                let primary_queries: Vec<Query> = decisions
-                    .iter()
-                    .zip(&queries)
-                    .filter(|(d, _)| d.choice == BackendChoice::Primary)
-                    .map(|(_, q)| q.clone())
-                    .collect();
-                let mut primary = model
-                    .try_estimate_cards_with(&primary_queries, job.samples_override)
-                    .into_iter();
-                decisions
-                    .iter()
-                    .enumerate()
-                    .map(|(i, d)| match d.choice {
-                        BackendChoice::Primary => {
-                            (primary.next().expect("one result per primary query"), None)
-                        }
-                        BackendChoice::Backend(b) => {
-                            (router.estimate_routed(b, &queries[i]), Some((b, d.class)))
-                        }
-                    })
-                    .collect()
-            }
-        }
+        serve_batch(&model, router.as_deref(), &queries, job.samples_override)
     }));
     let execute_ms = exec_start.elapsed().as_secs_f64() * 1e3;
     let stats = &shared.stats;
-    let results: Vec<BatchOutcome> = match attempt {
-        Ok(results) => {
-            results.into_iter().map(|(r, routed)| (r.map_err(ServerError::from), routed)).collect()
-        }
+    let results = match attempt {
+        Ok(results) => results
+            .into_iter()
+            .map(|(r, routed)| (r.map_err(ServerError::from), routed))
+            .collect::<Vec<_>>(),
         Err(_) => {
             stats.executor_panics.fetch_add(1, Ordering::SeqCst);
-            (0..n).map(|_| (Err(ServerError::ExecutorPanic), None)).collect()
+            vec![(Err(ServerError::ExecutorPanic), None); n]
         }
     };
     // Record served queries for later truth resolution *before* any

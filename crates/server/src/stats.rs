@@ -40,18 +40,13 @@ pub struct LatencyWindow {
 struct RingState {
     buf: Vec<f64>,
     cursor: usize,
-    filled: bool,
 }
 
 impl LatencyWindow {
     /// A window remembering the last `capacity` observations.
     pub fn new(capacity: usize) -> Self {
         LatencyWindow {
-            ring: Mutex::new(RingState {
-                buf: Vec::with_capacity(capacity.max(1)),
-                cursor: 0,
-                filled: false,
-            }),
+            ring: Mutex::new(RingState { buf: Vec::with_capacity(capacity.max(1)), cursor: 0 }),
         }
     }
 
@@ -64,7 +59,6 @@ impl LatencyWindow {
             let c = st.cursor;
             st.buf[c] = ms;
             st.cursor = (c + 1) % st.buf.capacity();
-            st.filled = true;
         }
     }
 
@@ -89,7 +83,6 @@ impl LatencyWindow {
         let mut st = self.ring.lock();
         st.buf.clear();
         st.cursor = 0;
-        st.filled = false;
     }
 
     /// Observations currently held.
@@ -213,10 +206,11 @@ pub struct ServerStats {
     pub failed: u64,
     /// Requests served under a degraded (shrunken) sample budget.
     pub degraded_requests: u64,
-    /// Requests a tenant's fleet router sent to a baseline backend
-    /// instead of the primary model (results carry
-    /// `EstimateSource::Routed`). Deliberate choices, not degradations —
-    /// never double-counted in `failed` or the model's fallback tallies.
+    /// Requests a fleet backend answered instead of the primary model:
+    /// exactly the replies whose source is `EstimateSource::Routed` (a
+    /// validation shortcut on a routed decision does not count).
+    /// Deliberate choices, not degradations — never double-counted in
+    /// `failed` or the model's fallback tallies.
     pub routed_requests: u64,
     /// Served queries recorded as awaiting a true cardinality (tenants
     /// with an attached label pool).

@@ -13,7 +13,7 @@ use uae_core::{
 };
 use uae_data::census_like;
 use uae_estimators::HistogramEstimator;
-use uae_query::{generate_workload, CardEstimator, LabeledQuery, WorkloadSpec};
+use uae_query::{generate_workload, CardEstimator, LabeledQuery, Predicate, Query, WorkloadSpec};
 use uae_server::{DegradeConfig, Registry, Server, ServerConfig};
 
 fn quick_uae(rows: usize, seed: u64) -> Uae {
@@ -40,11 +40,7 @@ fn quick_workload(rows: usize, seed: u64, n: usize, qseed: u64) -> Vec<LabeledQu
 fn route_everything(rows: usize, seed: u64) -> Router {
     let t = census_like(rows, seed);
     let backend: Arc<dyn CardEstimator> = Arc::new(HistogramEstimator::new(&t, 16));
-    Router::threshold(
-        &t,
-        vec![backend],
-        RouteConfig { wide_table: 1, high_corr: 2.0, ..RouteConfig::default() },
-    )
+    Router::threshold(&t, vec![backend], RouteConfig { wide_table: 1, high_corr: 2.0 })
 }
 
 /// A router whose threshold never fires: every decision is `Primary`.
@@ -59,14 +55,20 @@ fn route_nothing(rows: usize, seed: u64) -> Router {
 }
 
 /// Routed replies carry [`EstimateSource::Routed`], count in
-/// `routed_requests`, emit tagged `Routed` telemetry — and the primary
-/// model is never consulted, so its fallback counters stay at zero
-/// (routing is a choice, not a degradation).
+/// `routed_requests`, emit tagged `Routed` telemetry keyed by their
+/// request id — and the primary model is never consulted, so its
+/// fallback counters stay at zero (routing is a choice, not a
+/// degradation). A trivial query and an empty region are routed too,
+/// but validation answers them exactly: neither counts as routed nor
+/// emits a `Routed` event.
 #[test]
 fn routed_batch_tags_backend_and_skips_primary() {
     let rows = 600;
     let uae = quick_uae(rows, 19);
-    let workload = quick_workload(rows, 19, 20, 77);
+    let mut queries: Vec<Query> =
+        quick_workload(rows, 19, 20, 77).into_iter().map(|lq| lq.query).collect();
+    queries.push(Query::new(vec![]));
+    queries.push(Query::new(vec![Predicate::eq(0, 99999i64)]));
 
     let registry = Arc::new(Registry::new());
     let tenant = registry.register("census", uae);
@@ -76,29 +78,31 @@ fn routed_batch_tags_backend_and_skips_primary() {
     let (sink, events) = MemorySink::new();
     server.set_sink(Box::new(sink));
 
-    let tickets: Vec<_> = workload
-        .iter()
-        .map(|lq| server.submit("census", lq.query.clone()).expect("capacity"))
-        .collect();
+    let tickets: Vec<_> =
+        queries.iter().map(|q| server.submit("census", q.clone()).expect("capacity")).collect();
     let stats = server.shutdown();
 
-    let mut routed = 0u64;
+    let mut routed_ids = HashSet::new();
+    let mut validated = 0;
     for t in tickets {
+        let id = t.id();
         let est = t.wait().expect("fleet serves every valid query");
         match est.source {
             EstimateSource::Routed(_) => {
-                routed += 1;
+                routed_ids.insert(id);
                 assert!(est.selectivity.is_finite() && est.selectivity >= 0.0);
             }
             // Empty/trivial regions are answered exactly by validation,
             // before any backend runs.
-            EstimateSource::Validation => {}
+            EstimateSource::Validation => validated += 1,
             other => panic!("unexpected source {other:?} with an all-route policy"),
         }
     }
+    let routed = routed_ids.len() as u64;
     assert!(routed > 0, "the workload must exercise the routed path");
-    assert_eq!(stats.routed_requests, routed);
-    assert_eq!(stats.completed, workload.len() as u64);
+    assert!(validated >= 2, "the trivial and the empty query answer by validation");
+    assert_eq!(stats.routed_requests, routed, "only backend answers count as routed");
+    assert_eq!(stats.completed, queries.len() as u64);
 
     // The primary model never served: no fallbacks, no degradations —
     // routed answers are not failures of the cascade.
@@ -110,12 +114,16 @@ fn routed_batch_tags_backend_and_skips_primary() {
     let tagged: Vec<_> = events
         .iter()
         .filter_map(|e| match e {
-            Event::Routed { backend, family, .. } => Some((backend.clone(), *family)),
+            Event::Routed { index, backend, family, .. } => {
+                Some((*index, backend.clone(), *family))
+            }
             _ => None,
         })
         .collect();
     assert_eq!(tagged.len() as u64, routed, "one Routed event per routed reply");
-    for (backend, family) in tagged {
+    let event_ids: HashSet<u64> = tagged.iter().map(|(index, _, _)| *index).collect();
+    assert_eq!(event_ids, routed_ids, "each Routed event carries a routed reply's ticket id");
+    for (_, backend, family) in tagged {
         assert_eq!(backend, "Histogram");
         assert_eq!(family, "histogram");
     }

@@ -28,7 +28,7 @@ pub mod tape;
 pub mod tensor;
 
 pub use optim::{Adam, AdamState, Optimizer, Sgd};
-pub use pool::{configure_pool_threads, pool_threads};
+pub use pool::pool_threads;
 pub use simd::Backend;
 pub use tape::{GradStore, NodeId, ParamId, ParamStore, Tape, TapePlan, TapeWorkspace};
 pub use tensor::{tensor_alloc_count, Tensor};

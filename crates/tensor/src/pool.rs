@@ -31,21 +31,16 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Explicit pool-width override set by [`configure_pool_threads`]
-/// (`0` = unset).
-static CONFIGURED_THREADS: AtomicUsize = AtomicUsize::new(0);
-/// Whether the worker set has been spawned (after which the spawned width
-/// is pinned for the life of the process).
-static POOL_SPAWNED: AtomicBool = AtomicBool::new(false);
 /// Hard cap on any requested width — far above a sane kernel fan-out.
 const MAX_POOL_THREADS: usize = 64;
 
-/// The default pool width when nothing overrides it: `UAE_POOL_THREADS`
-/// from the environment, else `min(cores, 8)`. Resolved once — the value
-/// sits on the per-matmul dispatch path.
-fn default_threads() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
+/// Number of threads `parallel_for` spreads work across (workers + the
+/// participating caller): `UAE_POOL_THREADS` from the environment, else
+/// `min(cores, 8)`. Resolved once — the value sits on the per-matmul
+/// dispatch path, and the spawned worker set is sized from it.
+pub fn pool_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
         std::env::var("UAE_POOL_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
@@ -55,33 +50,6 @@ fn default_threads() -> usize {
                 std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(8)
             })
     })
-}
-
-/// Number of threads `parallel_for` spreads work across (workers + the
-/// participating caller). Override order: [`configure_pool_threads`],
-/// then the `UAE_POOL_THREADS` environment variable, then
-/// `min(cores, 8)`.
-pub fn pool_threads() -> usize {
-    match CONFIGURED_THREADS.load(Ordering::SeqCst) {
-        0 => default_threads(),
-        n => n,
-    }
-}
-
-/// Cap the kernel pool at `n` threads (clamped to `[1, 64]`). The serving
-/// front-end calls this before its first estimate so that
-/// `batch executors × pool threads` does not oversubscribe the machine —
-/// each executor thread participates in its own pool jobs, so `n = 1`
-/// degenerates every kernel to an inline loop on the executor itself.
-///
-/// Returns `true` when the setting takes full effect (the worker set has
-/// not been spawned yet). After the first pool use the number of live
-/// workers is pinned; a later call still changes how many *chunks* kernels
-/// split into (correct but no longer matched to the worker count), and
-/// `false` is returned so callers can warn.
-pub fn configure_pool_threads(n: usize) -> bool {
-    CONFIGURED_THREADS.store(n.clamp(1, MAX_POOL_THREADS), Ordering::SeqCst);
-    !POOL_SPAWNED.load(Ordering::SeqCst)
 }
 
 /// Workers currently alive (armed and not unwound). Zero until the pool is
@@ -219,7 +187,6 @@ fn injector() -> &'static Injector {
         // The caller always participates, so spawn one fewer worker than
         // the target width. On a single-core machine this spawns nothing
         // and `parallel_for` degenerates to an inline loop.
-        POOL_SPAWNED.store(true, Ordering::SeqCst);
         for i in 0..pool_threads().saturating_sub(1) {
             spawn_worker(format!("uae-pool-{i}"));
         }

@@ -16,8 +16,11 @@
 //! 3. be **strictly better** than every single estimator on the blended
 //!    (both regimes pooled) median *and* p95 q-error.
 //!
-//! Routing telemetry (one `routed` JSONL line per backend-served query)
-//! goes to `--metrics-out`; CI runs the drill in the default and
+//! The fleet serves each regime through a `uae-server` front-end in
+//! deterministic mode, with the calibrated router installed on the
+//! tenant. Its telemetry (one `routed` JSONL line per backend-served
+//! request, next to the front-end's `batch_flushed`/`request_served`
+//! lines) goes to `--metrics-out`; CI runs the drill in the default and
 //! `UAE_FORCE_SCALAR=1` modes and fails the build on any miss.
 //!
 //! ```sh
@@ -31,7 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use uae::core::{
-    JsonlSink, ResMadeConfig, RouteConfig, RoutedFleet, Router, TrainConfig, Uae, UaeConfig,
+    Estimate, JsonlSink, ResMadeConfig, RouteConfig, Router, Sink, TrainConfig, Uae, UaeConfig,
 };
 use uae::data::{dmv_like, kddcup_like, Table};
 use uae::estimators::{HistogramEstimator, SamplingEstimator, SpnConfig, SpnEstimator};
@@ -39,6 +42,7 @@ use uae::query::{
     fingerprints, generate_correlated_workload, generate_workload, q_error, CardEstimator,
     CorrelatedSpec, LabeledQuery, Query, WorkloadSpec,
 };
+use uae::server::{Registry, Server, ServerConfig, ServerError, ServerStats, Ticket};
 
 const DMV_ROWS: usize = 2500;
 const KDD_ROWS: usize = 2000;
@@ -118,6 +122,33 @@ impl Regime {
         )
     }
 
+    /// Serve the test workload through a deterministic [`Server`] whose
+    /// tenant holds a clone of the primary and `router`. The whole
+    /// workload runs as one batch, so the primary's RNG stream is the one
+    /// a direct replay of the same queries would draw.
+    fn serve_fleet(
+        &self,
+        router: Router,
+        sink: Option<Box<dyn Sink>>,
+    ) -> (Vec<Result<Estimate, ServerError>>, ServerStats) {
+        let registry = Arc::new(Registry::new());
+        registry.register(self.name, self.uae.clone());
+        registry.set_router(self.name, Some(Arc::new(router))).expect("tenant registered");
+        let server = Server::start(registry, ServerConfig::deterministic(self.test.len()));
+        if let Some(sink) = sink {
+            server.set_sink(sink);
+        }
+        let tickets: Vec<Ticket> = self
+            .test
+            .iter()
+            .map(|lq| server.submit(self.name, lq.query.clone()).expect("queue holds the workload"))
+            .collect();
+        // Shutdown drains the paused queue as one batch and drops the
+        // sink, which flushes a JSONL file.
+        let stats = server.shutdown();
+        (tickets.into_iter().map(Ticket::wait).collect(), stats)
+    }
+
     fn singles(&self) -> Vec<(String, Box<dyn CardEstimator>)> {
         vec![
             ("UAE".into(), Box::new(self.uae.clone())),
@@ -161,6 +192,9 @@ fn main() {
     if let Some(dir) = metrics.parent() {
         std::fs::create_dir_all(dir).ok();
     }
+    // Each regime appends to the file; start it fresh so a stale one
+    // from an earlier run cannot satisfy CI's event greps.
+    std::fs::remove_file(&metrics).ok();
 
     // Regime A: strongly correlated table, with every query sitting on
     // the value-level dependencies (county ≈ f(state), date ≈ f(state,
@@ -211,11 +245,9 @@ fn main() {
             "[{}] decisions must replay identically",
             r.name
         );
-        let fa = RoutedFleet::new(Arc::new(r.uae.clone()), Arc::new(ra));
-        let fb = RoutedFleet::new(Arc::new(r.uae.clone()), Arc::new(rb));
         assert_eq!(
-            fa.try_estimate_cards(&queries),
-            fb.try_estimate_cards(&queries),
+            r.serve_fleet(ra, None).0,
+            r.serve_fleet(rb, None).0,
             "[{}] fleet estimates must replay bit-identically",
             r.name
         );
@@ -228,11 +260,14 @@ fn main() {
     let mut ok = true;
 
     for r in &regimes {
-        let fleet = RoutedFleet::new(Arc::new(r.uae.clone()), Arc::new(r.router()));
-        match JsonlSink::append(&metrics, r.name) {
-            Ok(sink) => fleet.set_sink(Box::new(sink)),
-            Err(e) => eprintln!("warning: cannot open {}: {e}", metrics.display()),
-        }
+        let sink: Option<Box<dyn Sink>> = match JsonlSink::append(&metrics, r.name) {
+            Ok(sink) => Some(Box::new(sink)),
+            Err(e) => {
+                eprintln!("warning: cannot open {}: {e}", metrics.display());
+                None
+            }
+        };
+        let (replies, stats) = r.serve_fleet(r.router(), sink);
 
         let mut best_median = f64::INFINITY;
         for (name, est) in &r.singles() {
@@ -249,18 +284,22 @@ fn main() {
                 None => singles_errs.push((name.clone(), vec![errs])),
             }
         }
-        let errs = qerrs(&fleet, &r.test);
+        let errs: Vec<f64> = replies
+            .iter()
+            .zip(&r.test)
+            .map(|(reply, lq)| {
+                q_error(lq.cardinality as f64, reply.as_ref().map_or(0.0, |e| e.card))
+            })
+            .collect();
         let fleet_med = quantile(&errs, 0.5);
-        let stats = fleet.serve_stats();
         eprintln!(
             "[route] [{}] {:<10} median {fleet_med:.2}  p95 {:.1}  ({} routed / {} served)",
             r.name,
             "Fleet",
             quantile(&errs, 0.95),
-            stats.routed,
-            stats.served,
+            stats.routed_requests,
+            stats.accepted,
         );
-        drop(fleet.take_sink()); // flush JSONL
 
         let pass = fleet_med <= best_median * REGIME_GRACE;
         println!(
