@@ -33,9 +33,6 @@ for threads in 1 4; do
         --test adversarial --test workspace_equivalence
 done
 
-echo "== benches compile =="
-cargo bench --no-run
-
 echo "== serving benchmark builds (its own workspace, outside tier-1) =="
 cargo build --release --offline --manifest-path servebench/Cargo.toml
 
@@ -50,11 +47,19 @@ echo "$last"
 grep -q '"correct": true' <<<"$last"
 grep -q '"failed": 0[,}]' <<<"$last"
 
-echo "== smoke: train -> checkpoint -> resume (bit-exact) =="
-cargo run --release --example train_checkpoint_resume -- \
-    --metrics-out target/train_metrics.jsonl
+echo "== smoke: train -> checkpoint -> resume (bit-exact), pool widths 1 and 3 =="
+# Training must not depend on the core count: the reference run's weight
+# digest must be the same at both widths.
+rm -f target/train_metrics.jsonl
+narrow=$(UAE_POOL_THREADS=1 cargo run --release --example train_checkpoint_resume -- \
+    --metrics-out target/train_metrics.jsonl)
+echo "$narrow"
 test -s target/train_metrics.jsonl
 grep -q '"event":"epoch"' target/train_metrics.jsonl
+wide=$(UAE_POOL_THREADS=3 cargo run --release --example train_checkpoint_resume)
+echo "$wide"
+digest=$(grep '^weights fnv64 ' <<<"$narrow")
+test "$digest" = "$(grep '^weights fnv64 ' <<<"$wide")"
 
 echo "== fault drill: degraded serving under injected faults =="
 cargo run --release --example serve_fault_drill -- \

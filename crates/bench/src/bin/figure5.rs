@@ -2,8 +2,9 @@
 //!
 //! * (1) training convergence — max q-error on Census in-workload queries
 //!   as hybrid training progresses, epoch by epoch;
-//! * (2) estimation latency of every estimator on DMV (also measured as a
-//!   Criterion bench in `benches/estimation_latency.rs`).
+//! * (2) estimation latency of every estimator on DMV. (End-to-end serving
+//!   latency, with repeated runs, is `servebench`'s job; see
+//!   `BENCHMARK.json`.)
 
 use std::time::Instant;
 

@@ -49,7 +49,7 @@ fn small_online_config() -> OnlineConfig {
     }
 }
 
-/// Acceptance criterion: two trainers built from the same live model and
+/// Acceptance check: two trainers built from the same live model and
 /// fed the identical label stream make identical promotion decisions,
 /// and a promoted round's `UAEC` checkpoint bytes are bit-identical.
 #[test]
@@ -96,7 +96,7 @@ fn replay_is_deterministic_and_checkpoints_bit_identical() {
     );
 }
 
-/// Acceptance criterion: a fault-injected NaN candidate is rejected as
+/// Acceptance check: a fault-injected NaN candidate is rejected as
 /// unhealthy by the shadow gate, the live model's weights are untouched,
 /// and the trainer's branch recovers (the next clean round can promote).
 #[test]

@@ -88,6 +88,11 @@ pub fn table_from_csv(
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut header: Option<Vec<String>> = None;
     for (lineno, line) in input.lines().enumerate() {
+        // The cap comes first, so `max_rows: 0` reads no row and no line
+        // past the cap is parsed.
+        if rows.len() >= opts.max_rows {
+            break;
+        }
         let line = line.map_err(|e| CsvError::Io(e.to_string()))?;
         if line.is_empty() {
             continue;
@@ -116,9 +121,6 @@ pub fn table_from_csv(
             }
         }
         rows.push(fields);
-        if rows.len() >= opts.max_rows {
-            break;
-        }
     }
     if rows.is_empty() {
         return Err(CsvError::Empty);
@@ -191,6 +193,7 @@ fn split_csv_line(line: &str, delim: char) -> Option<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     #[test]
@@ -255,5 +258,54 @@ mod tests {
         let opts = CsvOptions { max_rows: 2, ..CsvOptions::default() };
         let t = table_from_csv("t", Cursor::new(csv), &opts).unwrap();
         assert_eq!(t.num_rows(), 2);
+    }
+
+    #[test]
+    fn max_rows_zero_reads_no_rows() {
+        let opts = CsvOptions { max_rows: 0, ..CsvOptions::default() };
+        let err = table_from_csv("t", Cursor::new("v\n1\n2\n"), &opts).unwrap_err();
+        assert_eq!(err, CsvError::Empty);
+    }
+
+    /// A valid CSV with a header, quoted fields, an escaped quote, an
+    /// empty cell and mixed column types.
+    const VALID: &str =
+        "id,name,score\n1,\"Oslo, NO\",10\n2,Bergen,\n3,\"say \"\"hi\"\"\",-7\n4,Tromsø,x\n";
+    /// The bytes mutations write: the reader's syntax, plain text and
+    /// bytes that break UTF-8.
+    const BYTES: &[u8] = b"\",\n\r|a1- \xff\xc3";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Mutation fuzz of the reader: overwrite, truncate or insert bytes
+        /// of a valid CSV. It returns a table or a typed [`CsvError`] (a
+        /// panic fails the test), and every table it returns has equal
+        /// column lengths and at most `max_rows` rows.
+        #[test]
+        fn reader_survives_mutated_input(
+            edits in proptest::collection::vec((0u8..3, any::<u32>(), 0..BYTES.len()), 1..=8),
+            has_header in any::<bool>(),
+            cap in 0usize..8,
+        ) {
+            let mut csv = VALID.as_bytes().to_vec();
+            for &(kind, pos, pick) in &edits {
+                let at = pos as usize % (csv.len() + 1);
+                match kind {
+                    0 if at < csv.len() => csv[at] = BYTES[pick],
+                    1 => csv.truncate(at),
+                    _ => csv.insert(at, BYTES[pick]),
+                }
+            }
+            // `cap` 7 stands for "no cap".
+            let max_rows = if cap == 7 { usize::MAX } else { cap };
+            let opts = CsvOptions { has_header, max_rows, ..CsvOptions::default() };
+            if let Ok(t) = table_from_csv("fuzz", Cursor::new(csv), &opts) {
+                prop_assert!(t.num_rows() <= max_rows);
+                for c in t.columns() {
+                    prop_assert_eq!(c.codes().len(), t.num_rows());
+                }
+            }
+        }
     }
 }

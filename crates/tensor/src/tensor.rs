@@ -236,60 +236,55 @@ impl Tensor {
 
     /// `self^T @ other` without materializing the transpose.
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
+        self.t_matmul_split(other, pool::pool_threads())
+    }
+
+    /// [`Tensor::t_matmul`] spread over at most `width` pool shards. Shards
+    /// own disjoint *output* rows (columns of `self`) and each one walks
+    /// every batch row in ascending order, so every output element is
+    /// summed in the serial order and the result is bit-identical at any
+    /// width. (Splitting the batch rows instead would add per-shard
+    /// partials, making every weight gradient depend on the core count.)
+    fn t_matmul_split(&self, other: &Tensor, width: usize) -> Tensor {
         assert_eq!(
             self.rows, other.rows,
             "t_matmul shape mismatch: ({}x{})^T @ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
+        let mut out = Tensor::zeros(self.cols, other.cols);
         let flops = 2 * self.rows * self.cols * other.cols;
-        if flops >= PAR_FLOP_THRESHOLD && self.rows >= 2 {
-            // Parallel over row chunks. Each shard writes its partial into a
-            // disjoint slice of one flat buffer (no per-shard Tensor
-            // ownership or clones), reduced in chunk order at the end so the
-            // summation order matches the serial path chunk-for-chunk.
-            let threads = pool::pool_threads();
-            let chunk = self.rows.div_ceil(threads);
-            let n_chunks = self.rows.div_ceil(chunk);
-            let out_len = self.cols * other.cols;
-            let mut partials = vec![0.0f32; n_chunks * out_len];
-            let base = pool::SendPtr(partials.as_mut_ptr());
+        if flops >= PAR_FLOP_THRESHOLD && self.cols >= 2 && width >= 2 {
+            let chunk = self.cols.div_ceil(width);
+            let n_chunks = self.cols.div_ceil(chunk);
+            let ocols = other.cols;
+            let base = pool::SendPtr(out.data.as_mut_ptr());
             pool::parallel_for(n_chunks, |ci| {
                 // Rebind deliberately: capture the whole `SendPtr`, not `base.0`.
                 #[allow(clippy::redundant_locals)]
                 let base = base;
                 let start = ci * chunk;
-                let end = (start + chunk).min(self.rows);
-                // SAFETY: each pool index writes exactly one disjoint
-                // `out_len` slice, and `partials` outlives the blocking
-                // `parallel_for` call.
-                let slice =
-                    unsafe { std::slice::from_raw_parts_mut(base.0.add(ci * out_len), out_len) };
-                self.t_matmul_range_into(other, start, end, slice);
+                let end = (start + chunk).min(self.cols);
+                // SAFETY: chunks are disjoint row ranges of `out`, each
+                // written by exactly one pool index, and `out` outlives the
+                // blocking `parallel_for` call.
+                let orows = unsafe {
+                    std::slice::from_raw_parts_mut(base.0.add(start * ocols), (end - start) * ocols)
+                };
+                self.t_matmul_rows_into(other, start, end, orows);
             });
-            let mut out = Tensor::zeros(self.cols, other.cols);
-            for p in partials.chunks(out_len) {
-                for (o, &v) in out.data.iter_mut().zip(p) {
-                    *o += v;
-                }
-            }
-            return out;
+        } else {
+            self.t_matmul_rows_into(other, 0, self.cols, &mut out.data);
         }
-        self.t_matmul_range(other, 0, self.rows)
-    }
-
-    fn t_matmul_range(&self, other: &Tensor, start: usize, end: usize) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, other.cols);
-        self.t_matmul_range_into(other, start, end, &mut out.data);
         out
     }
 
-    /// `out[i][j] += sum_{r in start..end} self[r][i] * other[r][j]`, with
-    /// `out` a zeroed `cols x other.cols` row-major slice. The slice form
-    /// lets pool shards target disjoint regions of one caller-owned buffer.
-    fn t_matmul_range_into(&self, other: &Tensor, start: usize, end: usize, out: &mut [f32]) {
+    /// Output rows `start..end` of `self^T @ other` into `out` (zeroed,
+    /// `(end - start) x other.cols` row-major): `out[i - start][j] +=
+    /// self[r][i] * other[r][j]` for ascending `r`.
+    fn t_matmul_rows_into(&self, other: &Tensor, start: usize, end: usize, out: &mut [f32]) {
         let ocols = other.cols;
-        for r in start..end {
-            let a_row = self.row(r);
+        for r in 0..self.rows {
+            let a_row = &self.row(r)[start..end];
             let b_row = other.row(r);
             for (i, &a) in a_row.iter().enumerate() {
                 if a == 0.0 {
@@ -320,10 +315,6 @@ impl Tensor {
             let n_chunks = self.rows.div_ceil(chunk);
             let base = pool::SendPtr(out.data.as_mut_ptr());
             pool::parallel_for(n_chunks, |ci| {
-                // Rebind deliberately: without it the 2021-edition closure
-                // captures the raw `base.0` field (not `Send`) instead of
-                // the whole `SendPtr`.
-                #[allow(clippy::redundant_locals)]
                 // Rebind deliberately: capture the whole `SendPtr`, not `base.0`.
                 #[allow(clippy::redundant_locals)]
                 let base = base;
@@ -692,6 +683,8 @@ pub fn log_softmax_in_place(xs: &mut [f32]) {
 
 #[cfg(test)]
 mod tests {
+    use rand::RngExt;
+
     use super::*;
 
     #[test]
@@ -719,6 +712,41 @@ mod tests {
         let fast = a.t_matmul(&b);
         let slow = a.transpose().matmul(&b);
         assert!(fast.max_abs_diff(&slow) < 1e-6);
+    }
+
+    #[test]
+    fn t_matmul_is_bit_identical_at_every_width() {
+        // Above `PAR_FLOP_THRESHOLD`, with about a third of the activations
+        // zero (as after a ReLU), which the kernel skips.
+        let (n, k, m) = (257, 48, 41);
+        assert!(2 * n * k * m >= PAR_FLOP_THRESHOLD);
+        let mut rng = crate::rng::seeded_rng(7);
+        let mut a =
+            Tensor::from_vec(n, k, (0..n * k).map(|_| rng.random_range(-1.0f32..1.0)).collect());
+        for v in a.data_mut() {
+            if *v < -0.3 {
+                *v = 0.0;
+            }
+        }
+        let b =
+            Tensor::from_vec(n, m, (0..n * m).map(|_| rng.random_range(-1.0f32..1.0)).collect());
+        // The serial loop: each output summed over batch rows in order.
+        let mut serial = Tensor::zeros(k, m);
+        for i in 0..k {
+            for j in 0..m {
+                let mut acc = 0.0f32;
+                for r in 0..n {
+                    acc += a.at(r, i) * b.at(r, j);
+                }
+                serial.set(i, j, acc);
+            }
+        }
+        for width in [1, 2, 3, 7] {
+            let got = a.t_matmul_split(&b, width);
+            let same =
+                got.data().iter().zip(serial.data()).all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "width {width} differs from the serial sum");
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!     --metrics-out target/train_metrics.jsonl
 //! ```
 //!
-//! CI runs this as the end-to-end guard on the `UAEC` checkpoint format
-//! and uploads the metrics file as a build artifact.
+//! CI runs this as the end-to-end guard on the `UAEC` checkpoint format,
+//! and at pool widths 1 and 3 to check that the printed `weights fnv64`
+//! digest of the trained model does not depend on the core count.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -88,6 +89,13 @@ fn main() {
         resumed.save_weights(),
         "final weights diverged after resume"
     );
+    // The trained bits must not depend on the core count either: CI runs
+    // this at two `UAE_POOL_THREADS` widths and compares this line.
+    let fnv64 = reference
+        .save_weights()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    println!("weights fnv64 {fnv64:016x}");
     println!("\nOK: resumed run is bit-exact with the uninterrupted run");
     println!("per-epoch loss: {losses:.3?}");
     if let Some(p) = &metrics {
