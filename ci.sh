@@ -23,14 +23,18 @@ echo "== engine equivalence + zero-alloc under UAE_FORCE_SCALAR =="
 # allocation-free there too.
 UAE_FORCE_SCALAR=1 cargo test -q -p uae-core --test batch_equivalence --test zero_alloc
 
-echo "== query sharding: equivalence + zero-alloc at pool widths 1 and 4 =="
+echo "== query sharding: equivalence + zero-alloc + serving at pool widths 1 and 4 =="
 # Width 1 keeps every batch one unsharded walk; width 4 splits a batch of
 # 32+ queries into up to 8 shards, even on a 2-core machine. Every estimate
-# goes through the sharding dispatch, single queries included.
+# goes through the sharding dispatch, single queries included. The server
+# suites run too: executors share one queue lock with submitters and call
+# into the shard pool.
 for threads in 1 4; do
     UAE_POOL_THREADS=$threads cargo test -q -p uae-core \
         --test batch_equivalence --test zero_alloc --test fault_injection \
         --test adversarial --test workspace_equivalence
+    UAE_POOL_THREADS=$threads cargo test -q -p uae-server \
+        --test server_pipeline --test fleet_routing
 done
 
 echo "== serving benchmark builds (its own workspace, outside tier-1) =="

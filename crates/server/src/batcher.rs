@@ -8,30 +8,18 @@
 //! whichever first — lives here, deliberately separated from threads and
 //! wall clocks: time is an opaque `u64` nanosecond counter supplied by the
 //! caller, so every flush rule is unit-testable with a mock clock (no
-//! sleeps, no flaky timing assertions). The dispatcher thread in
-//! [`crate::server`] drives the same state machine with real
-//! `Instant`-derived nanoseconds.
+//! sleeps, no flaky timing assertions). The executors in
+//! [`crate::server`] drive the same state machine, under the serving
+//! queue's lock, with real `Instant`-derived nanoseconds.
 //!
 //! Lanes are the batching domains — one per tenant, since a batch can only
 //! run against one model snapshot.
 
+use std::collections::VecDeque;
+
 use uae_core::FlushReason;
 
-/// One lane's pending requests plus the arrival time of the oldest.
-struct Lane<T> {
-    items: Vec<T>,
-    /// Arrival time (ns) of the oldest pending item; meaningless when
-    /// `items` is empty.
-    oldest_ns: u64,
-}
-
-impl<T> Lane<T> {
-    fn new() -> Self {
-        Lane { items: Vec::new(), oldest_ns: 0 }
-    }
-}
-
-/// What the dispatcher should do next (see [`MicroBatcher::poll`]).
+/// What an executor should do next (see [`MicroBatcher::poll`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Poll {
     /// Lane `lane` must flush now for `reason` (take it with
@@ -60,7 +48,9 @@ pub enum Poll {
 pub struct MicroBatcher<T> {
     max_batch: usize,
     max_delay_ns: u64,
-    lanes: Vec<Lane<T>>,
+    /// Per-lane pending items with their arrival times (ns), oldest
+    /// first — so a lane's deadline stays right after a partial take.
+    lanes: Vec<VecDeque<(u64, T)>>,
     pending_total: usize,
 }
 
@@ -71,22 +61,9 @@ impl<T> MicroBatcher<T> {
         MicroBatcher {
             max_batch: max_batch.max(1),
             max_delay_ns,
-            lanes: (0..lanes).map(|_| Lane::new()).collect(),
+            lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
             pending_total: 0,
         }
-    }
-
-    /// Grow to at least `lanes` lanes (tenants can register after the
-    /// server starts).
-    pub fn ensure_lanes(&mut self, lanes: usize) {
-        while self.lanes.len() < lanes {
-            self.lanes.push(Lane::new());
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Total pending items across all lanes.
@@ -94,62 +71,63 @@ impl<T> MicroBatcher<T> {
         self.pending_total
     }
 
-    /// Append an item to `lane` at time `now_ns`. Returns
-    /// `Some(FlushReason::Size)` when the push filled the lane to
-    /// `max_batch` — the caller must [`MicroBatcher::take`] it before the
-    /// next push to that lane.
-    pub fn push(&mut self, lane: usize, item: T, now_ns: u64) -> Option<FlushReason> {
-        self.ensure_lanes(lane + 1);
-        let l = &mut self.lanes[lane];
-        if l.items.is_empty() {
-            l.oldest_ns = now_ns;
+    /// Append an item to `lane` at time `now_ns`. Whether the lane is now
+    /// due is [`MicroBatcher::poll`]'s call.
+    pub fn push(&mut self, lane: usize, item: T, now_ns: u64) {
+        // Tenants can register after the server starts.
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
         }
-        l.items.push(item);
+        self.lanes[lane].push_back((now_ns, item));
         self.pending_total += 1;
-        (l.items.len() >= self.max_batch).then_some(FlushReason::Size)
     }
 
-    /// The most urgent action at time `now_ns`: a lane past its deadline
-    /// (oldest lane first), the wait until the earliest deadline, or
-    /// [`Poll::Idle`] when nothing is pending.
+    /// The most urgent action at time `now_ns`: a ready lane — one
+    /// holding `max_batch` items or past its deadline — whose oldest item
+    /// arrived first (FIFO fairness across lanes), else the wait until the
+    /// earliest deadline, or [`Poll::Idle`] when nothing is pending.
     pub fn poll(&self, now_ns: u64) -> Poll {
-        let mut earliest: Option<(usize, u64)> = None;
-        for (i, l) in self.lanes.iter().enumerate() {
-            if l.items.is_empty() {
+        let mut ready: Option<(usize, u64, FlushReason)> = None;
+        let mut next_deadline: Option<u64> = None;
+        for (lane, items) in self.lanes.iter().enumerate() {
+            let Some(&(oldest, _)) = items.front() else {
                 continue;
-            }
-            let deadline = l.oldest_ns.saturating_add(self.max_delay_ns);
-            if earliest.is_none_or(|(_, d)| deadline < d) {
-                earliest = Some((i, deadline));
+            };
+            let deadline = oldest.saturating_add(self.max_delay_ns);
+            let reason = if items.len() >= self.max_batch {
+                FlushReason::Size
+            } else if deadline <= now_ns {
+                FlushReason::Deadline
+            } else {
+                next_deadline = Some(next_deadline.map_or(deadline, |d| d.min(deadline)));
+                continue;
+            };
+            if ready.is_none_or(|(_, first, _)| oldest < first) {
+                ready = Some((lane, oldest, reason));
             }
         }
-        match earliest {
-            None => Poll::Idle,
-            Some((lane, deadline)) if deadline <= now_ns => {
-                Poll::Flush { lane, reason: FlushReason::Deadline }
-            }
-            Some((_, deadline)) => Poll::WaitNs(deadline - now_ns),
+        match (ready, next_deadline) {
+            (Some((lane, _, reason)), _) => Poll::Flush { lane, reason },
+            (None, Some(deadline)) => Poll::WaitNs(deadline - now_ns),
+            (None, None) => Poll::Idle,
         }
     }
 
-    /// Remove and return every pending item of `lane` (in arrival order).
+    /// Remove and return up to `max_batch` of `lane`'s oldest pending
+    /// items, in arrival order.
     pub fn take(&mut self, lane: usize) -> Vec<T> {
-        let items = std::mem::take(&mut self.lanes[lane].items);
-        self.pending_total -= items.len();
-        items
+        let items = &mut self.lanes[lane];
+        let n = items.len().min(self.max_batch);
+        self.pending_total -= n;
+        items.drain(..n).map(|(_, item)| item).collect()
     }
 
-    /// Drain every non-empty lane (shutdown): `(lane, items)` pairs in
-    /// lane order, each in arrival order.
-    pub fn drain_all(&mut self) -> Vec<(usize, Vec<T>)> {
-        let mut out = Vec::new();
-        for lane in 0..self.lanes.len() {
-            if !self.lanes[lane].items.is_empty() {
-                let items = self.take(lane);
-                out.push((lane, items));
-            }
-        }
-        out
+    /// Shutdown drain: the next batch ([`MicroBatcher::take`]) of the
+    /// first non-empty lane in lane order, or `None` once every lane is
+    /// empty.
+    pub fn drain(&mut self) -> Option<(usize, Vec<T>)> {
+        let lane = self.lanes.iter().position(|items| !items.is_empty())?;
+        Some((lane, self.take(lane)))
     }
 }
 
@@ -162,11 +140,18 @@ mod tests {
     #[test]
     fn flush_on_size_fires_exactly_at_max_batch() {
         let mut b: MicroBatcher<u32> = MicroBatcher::new(1, 4, 10 * MS);
-        assert_eq!(b.push(0, 1, 0), None);
-        assert_eq!(b.push(0, 2, 1), None);
-        assert_eq!(b.push(0, 3, 2), None);
-        assert_eq!(b.push(0, 4, 3), Some(FlushReason::Size));
-        assert_eq!(b.take(0), vec![1, 2, 3, 4]);
+        for item in 0..3 {
+            b.push(0, item, item as u64 * MS);
+            assert!(matches!(b.poll(3 * MS), Poll::WaitNs(_)), "not due below max_batch");
+        }
+        b.push(0, 3, 3 * MS);
+        b.push(0, 4, 4 * MS);
+        assert_eq!(b.poll(4 * MS), Poll::Flush { lane: 0, reason: FlushReason::Size });
+        assert_eq!(b.take(0), vec![0, 1, 2, 3], "at most max_batch, oldest first");
+        // The leftover arrived at 4ms: due at 14ms, not at the taken
+        // items' 10ms.
+        assert_eq!(b.poll(10 * MS), Poll::WaitNs(4 * MS));
+        assert_eq!(b.take(0), vec![4]);
         assert_eq!(b.pending(), 0);
         assert_eq!(b.poll(100 * MS), Poll::Idle, "taken lane is no longer due");
     }
@@ -216,15 +201,24 @@ mod tests {
         assert_eq!(b.take(1), vec!["b0"]);
         assert_eq!(b.poll(11 * MS), Poll::WaitNs(2 * MS));
         assert_eq!(b.poll(13 * MS), Poll::Flush { lane: 0, reason: FlushReason::Deadline });
+        b.take(0);
+        // Among ready lanes the oldest arrival goes first, whether the
+        // lane is past its deadline or full: lane 1 (20ms) before lane 0.
+        b.push(1, "b1", 20 * MS);
+        (0..1000).for_each(|_| b.push(0, "a", 25 * MS));
+        assert_eq!(b.poll(30 * MS), Poll::Flush { lane: 1, reason: FlushReason::Deadline });
+        b.take(1);
+        assert_eq!(b.poll(30 * MS), Poll::Flush { lane: 0, reason: FlushReason::Size });
     }
 
     #[test]
     fn unbounded_batch_never_size_flushes() {
         let mut b: MicroBatcher<usize> = MicroBatcher::new(1, usize::MAX, 50 * MS);
         for i in 0..10_000 {
-            assert_eq!(b.push(0, i, i as u64), None, "∞ max_batch must never size-flush");
+            b.push(0, i, i as u64);
         }
         assert_eq!(b.pending(), 10_000);
+        assert!(matches!(b.poll(49 * MS), Poll::WaitNs(_)), "∞ max_batch must never size-flush");
         // Deadline still applies, anchored at the first arrival.
         assert_eq!(b.poll(50 * MS), Poll::Flush { lane: 0, reason: FlushReason::Deadline });
         assert_eq!(b.take(0).len(), 10_000);
@@ -239,12 +233,13 @@ mod tests {
 
     #[test]
     fn drain_all_empties_every_lane_in_order() {
-        let mut b: MicroBatcher<u32> = MicroBatcher::new(3, 1000, MS);
+        let mut b: MicroBatcher<u32> = MicroBatcher::new(3, 2, MS);
         b.push(2, 20, 0);
         b.push(0, 1, 1);
         b.push(0, 2, 2);
-        let drained = b.drain_all();
-        assert_eq!(drained, vec![(0, vec![1, 2]), (2, vec![20])]);
+        b.push(0, 3, 3);
+        let drained: Vec<_> = std::iter::from_fn(|| b.drain()).collect();
+        assert_eq!(drained, vec![(0, vec![1, 2]), (0, vec![3]), (2, vec![20])]);
         assert_eq!(b.pending(), 0);
         assert_eq!(b.poll(0), Poll::Idle);
     }

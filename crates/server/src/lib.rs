@@ -12,13 +12,14 @@
 //! * [`MicroBatcher`] — a pure flush-on-size-or-deadline state machine
 //!   (mock-clock testable) that coalesces independent arrivals into the
 //!   batches the engine is fast at.
-//! * [`Server`] — threads wiring them together: a bounded submission
-//!   queue with typed [`SubmitError::Overloaded`] backpressure, one
-//!   dispatcher, a pool of batch executors driving
-//!   [`uae_core::serve_batch`] so a tenant's router and the full fallback
-//!   cascade apply per micro-batch, and a latency-SLO degradation
-//!   ladder that shrinks the progressive-sample budget under load
-//!   (tagged [`uae_core::EstimateSource::ModelDegraded`]).
+//! * [`Server`] — threads wiring them together: one bounded queue (the
+//!   micro-batcher behind a mutex) with typed [`SubmitError::Overloaded`]
+//!   backpressure, a pool of batch executors that take ready lanes
+//!   straight from it and drive [`uae_core::serve_batch`] so a tenant's
+//!   router and the full fallback cascade apply per micro-batch, and a
+//!   queue-depth degradation ladder that shrinks the progressive-sample
+//!   budget under load (tagged
+//!   [`uae_core::EstimateSource::ModelDegraded`]).
 //! * [`OnlineLearner`] — the background `uae-online` thread closing the
 //!   query-driven loop: it drives [`uae_core::OnlineTrainer`] rounds
 //!   over a shared [`uae_core::QueryPool`] of executed queries and
@@ -26,7 +27,7 @@
 //!   through the registry's atomic swap point.
 //!
 //! No async runtime, no executor dependency: plain `std::thread` +
-//! channels + condvars, matching the rest of the workspace.
+//! mutexes + condvars, matching the rest of the workspace.
 //!
 //! ## Determinism
 //!
@@ -34,7 +35,7 @@
 //! throughput: batch composition depends on arrival timing, and each
 //! tenant's RNG stream advances in flush order. The escape hatch is
 //! [`ServerConfig::deterministic`] — one executor, unbounded batch,
-//! paused dispatcher — under which a submitted sequence replays as a
+//! paused queue — under which a submitted sequence replays as a
 //! single batch bit-identical to [`uae_core::serve_batch`] over the
 //! tenant's model and router (without a router:
 //! [`uae_core::Uae::try_estimate_cards`]).

@@ -24,154 +24,104 @@ use uae_core::{DiskFaults, PersistError, QueryPool, Router, Uae};
 
 use crate::manifest::{Manifest, ManifestEntry};
 
-/// Latency-SLO degradation ladder (one per server, applied to every tenant).
-///
-/// Rungs engage in order as load signals cross their thresholds:
+/// Load-shedding degradation ladder (one per server, applied to every
+/// tenant).
 ///
 /// | rung | condition | per-query budget |
 /// |---|---|---|
 /// | 0 | nominal | the tenant's configured `estimate_samples` |
-/// | 1 | queue depth **or** observed p99 over threshold | 0.25 × configured |
-/// | 2 | **both** over threshold | 0.1 × configured |
+/// | 1 | in-flight requests over threshold | 0.25 × configured |
 ///
 /// Degraded batches run through the same cascade; their results carry
 /// [`uae_core::EstimateSource::ModelDegraded`] and count into
 /// [`uae_core::ServeStats::degraded`].
 ///
 /// Engagement is **hysteretic** (via [`DegradeConfig::step`] over a
-/// per-tenant [`LadderState`]): a signal goes hot the moment its metric
-/// crosses the entry threshold, but goes cold only once the metric has
-/// dropped into the exit band (`threshold × 0.8`) *and* the signal has
-/// not re-crossed the entry threshold for 100 ms. The rung fractions,
-/// the exit band and the cooldown are constants; only the two entry
-/// thresholds are configurable.
-/// Load oscillating right at a threshold therefore cannot flap the
-/// ladder between rungs every batch.
+/// per-tenant [`LadderState`]): the ladder engages the moment the depth
+/// crosses the threshold, but releases only once the depth has dropped
+/// into the exit band (`threshold × 0.8`) *and* has not re-crossed the
+/// threshold for 100 ms. The rung fraction, the exit band and the
+/// cooldown are constants; only the threshold is configurable.
+/// Load oscillating right at the threshold therefore cannot flap the
+/// budget every batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradeConfig {
     /// In-flight requests (accepted, not yet replied) above which rung 1
-    /// engages. `0` disables the queue-depth signal.
+    /// engages. `0` disables the ladder.
     pub queue_depth_threshold: usize,
-    /// Observed end-to-end p99 (over the rolling latency window) above
-    /// which rung 1 engages, in milliseconds. `0.0` disables the latency
-    /// signal.
-    pub p99_target_ms: f64,
 }
 
 impl Default for DegradeConfig {
     fn default() -> Self {
-        DegradeConfig { queue_depth_threshold: 256, p99_target_ms: 0.0 }
+        DegradeConfig { queue_depth_threshold: 256 }
     }
 }
 
 /// Rung-1 budget as a fraction of the tenant's configured
 /// `estimate_samples`.
 const DEGRADED_FRACTION: f64 = 0.25;
-/// Rung-2 budget fraction (both signals firing).
-const FLOOR_FRACTION: f64 = 0.1;
-/// A hot signal disengages only below `threshold × EXIT_FRACTION` — the
-/// hysteresis band.
+/// An engaged ladder releases only below `threshold × EXIT_FRACTION` —
+/// the hysteresis band.
 const EXIT_FRACTION: f64 = 0.8;
-/// A hot signal additionally stays hot for this long after it last
-/// crossed its entry threshold, regardless of the exit band.
+/// An engaged ladder additionally stays engaged for this long after the
+/// depth last crossed the threshold, regardless of the exit band.
 const COOLDOWN_NS: u64 = 100_000_000; // 100 ms
 
-/// One load signal's hysteresis state: whether it is hot, and when it
-/// last crossed its entry threshold (the cooldown clock).
-#[derive(Debug, Clone, Copy, Default)]
-struct SignalState {
-    hot: bool,
-    hot_at_ns: u64,
-}
-
-/// Per-tenant hysteresis state for the two ladder signals. Owned by the
-/// [`Tenant`]; pure state driven by [`DegradeConfig::step`] under the
-/// caller's clock (the dispatcher's batch epoch, or a mock in tests).
+/// Per-tenant hysteresis state of the ladder: whether it is engaged, and
+/// when the depth last crossed the threshold (the cooldown clock). Owned
+/// by the [`Tenant`]; pure state driven by [`DegradeConfig::step`] under
+/// the caller's clock (the server's, at flush time, or a mock in tests).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LadderState {
-    depth: SignalState,
-    latency: SignalState,
+    hot: bool,
+    hot_at_ns: u64,
 }
 
 impl LadderState {
     /// Whether the queue-depth signal is currently hot.
     pub fn depth_hot(&self) -> bool {
-        self.depth.hot
+        self.hot
     }
 }
 
 impl DegradeConfig {
     /// A ladder that never engages (full budget regardless of load).
     pub fn disabled() -> Self {
-        DegradeConfig { queue_depth_threshold: 0, p99_target_ms: 0.0 }
-    }
-
-    /// Map hot signals to a shrunken budget (`None` = full budget).
-    fn rung_budget(&self, configured: usize, depth_hot: bool, lat_hot: bool) -> Option<usize> {
-        let fraction = match (depth_hot, lat_hot) {
-            (false, false) => return None,
-            (true, true) => FLOOR_FRACTION,
-            _ => DEGRADED_FRACTION,
-        };
-        let shrunk = ((configured as f64 * fraction).round() as usize).max(1);
-        (shrunk < configured).then_some(shrunk)
-    }
-
-    /// Advance one signal's hysteresis state for the current metric
-    /// value, returning whether it is hot.
-    fn update_signal(
-        &self,
-        st: &mut SignalState,
-        enabled: bool,
-        value: f64,
-        threshold: f64,
-        now_ns: u64,
-    ) -> bool {
-        if !enabled {
-            st.hot = false;
-            return false;
-        }
-        if value > threshold {
-            st.hot = true;
-            st.hot_at_ns = now_ns; // every re-cross restarts the cooldown
-        } else if st.hot
-            && value <= threshold * EXIT_FRACTION
-            && now_ns.saturating_sub(st.hot_at_ns) >= COOLDOWN_NS
-        {
-            st.hot = false;
-        }
-        st.hot
+        DegradeConfig { queue_depth_threshold: 0 }
     }
 
     /// The hysteretic per-query budget: advance `state` under the
-    /// current load signals at `now_ns` and return the budget for the
+    /// current `queue_depth` at `now_ns` and return the budget for the
     /// rung the ladder is now on (`None` for the full configured budget,
-    /// `Some(shrunken)` when a rung engages). `configured` is the tenant's
-    /// nominal `estimate_samples`. Entry is immediate; exit requires the
-    /// metric below the exit band with the cooldown expired.
+    /// `Some(shrunken)` when rung 1 engages). `configured` is the
+    /// tenant's nominal `estimate_samples`. Entry is immediate; exit
+    /// requires the depth below the exit band with the cooldown expired.
     pub fn step(
         &self,
         state: &mut LadderState,
         configured: usize,
         queue_depth: usize,
-        p99_ms: f64,
         now_ns: u64,
     ) -> Option<usize> {
-        let depth_hot = self.update_signal(
-            &mut state.depth,
-            self.queue_depth_threshold > 0,
-            queue_depth as f64,
-            self.queue_depth_threshold as f64,
-            now_ns,
-        );
-        let lat_hot = self.update_signal(
-            &mut state.latency,
-            self.p99_target_ms > 0.0,
-            p99_ms,
-            self.p99_target_ms,
-            now_ns,
-        );
-        self.rung_budget(configured, depth_hot, lat_hot)
+        if self.queue_depth_threshold == 0 {
+            state.hot = false;
+            return None;
+        }
+        let (depth, threshold) = (queue_depth as f64, self.queue_depth_threshold as f64);
+        if depth > threshold {
+            state.hot = true;
+            state.hot_at_ns = now_ns; // every re-cross restarts the cooldown
+        } else if state.hot
+            && depth <= threshold * EXIT_FRACTION
+            && now_ns.saturating_sub(state.hot_at_ns) >= COOLDOWN_NS
+        {
+            state.hot = false;
+        }
+        if !state.hot {
+            return None;
+        }
+        let shrunk = ((configured as f64 * DEGRADED_FRACTION).round() as usize).max(1);
+        (shrunk < configured).then_some(shrunk)
     }
 }
 
@@ -184,7 +134,7 @@ pub struct Tenant {
     lane: usize,
     model: RwLock<Arc<Uae>>,
     /// Hysteresis state for this tenant's degradation ladder (driven at
-    /// flush time by the dispatcher's clock).
+    /// flush time by the server's clock).
     ladder: Mutex<LadderState>,
     /// Optional model fleet: a shape-aware router over baseline backends.
     /// `None` (the default) serves every query through the primary model,
@@ -251,17 +201,16 @@ impl Tenant {
     }
 
     /// Advance this tenant's hysteretic ladder under the server's ladder
-    /// `cfg` and the current load signals, and return the batch's sample
+    /// `cfg` and the current queue depth, and return the batch's sample
     /// budget (`None` = full).
     pub fn degrade_budget(
         &self,
         cfg: &DegradeConfig,
         configured: usize,
         queue_depth: usize,
-        p99_ms: f64,
         now_ns: u64,
     ) -> Option<usize> {
-        cfg.step(&mut self.ladder.lock(), configured, queue_depth, p99_ms, now_ns)
+        cfg.step(&mut self.ladder.lock(), configured, queue_depth, now_ns)
     }
 }
 
@@ -290,13 +239,13 @@ struct PersistHandle {
 #[derive(Default)]
 pub struct Registry {
     tenants: RwLock<HashMap<String, Arc<Tenant>>>,
-    /// Lane-indexed view (registration order), for dispatchers that key
+    /// Lane-indexed view (registration order), for executors that key
     /// batches by lane.
     by_lane: RwLock<Vec<Arc<Tenant>>>,
     /// Bumped on every model publication (swap or re-register). The
     /// serving front-end watches this to reset its rolling latency
     /// window: pre-swap samples describe the *old* model and would
-    /// otherwise keep driving the degradation ladder after a hot-swap.
+    /// otherwise keep shaping the reported p50/p99 after a hot-swap.
     swap_epoch: AtomicU64,
     /// Durable manifest attachment (`None` = in-memory registry only).
     persist: RwLock<Option<PersistHandle>>,
@@ -524,27 +473,23 @@ mod tests {
 
     #[test]
     fn degrade_ladder_rungs() {
-        let d = DegradeConfig { queue_depth_threshold: 10, p99_target_ms: 5.0 };
-        // Each case starts from a fresh (all-cold) ladder, so a signal is
-        // hot exactly when its metric is over the entry threshold.
-        let fresh = |d: &DegradeConfig, configured, depth, p99| {
-            d.step(&mut LadderState::default(), configured, depth, p99, 0)
+        let d = DegradeConfig { queue_depth_threshold: 10 };
+        // Each case starts from a fresh (cold) ladder, so it is engaged
+        // exactly when the depth is over the threshold.
+        let fresh = |d: &DegradeConfig, configured, depth| {
+            d.step(&mut LadderState::default(), configured, depth, 0)
         };
         // Nominal load: full budget.
-        assert_eq!(fresh(&d, 1000, 5, 1.0), None);
-        // Queue depth alone: rung 1.
-        assert_eq!(fresh(&d, 1000, 11, 1.0), Some(250));
-        // Latency alone: rung 1.
-        assert_eq!(fresh(&d, 1000, 5, 6.0), Some(250));
-        // Both: rung 2.
-        assert_eq!(fresh(&d, 1000, 11, 6.0), Some(100));
+        assert_eq!(fresh(&d, 1000, 5), None);
+        // Queue depth: rung 1.
+        assert_eq!(fresh(&d, 1000, 11), Some(250));
         // Shrunken budget never hits zero…
-        assert_eq!(fresh(&d, 3, 11, 6.0), Some(1));
+        assert_eq!(fresh(&d, 3, 11), Some(1));
         // …and never "degrades" to >= the configured budget.
-        assert_eq!(fresh(&d, 1, 11, 6.0), None);
-        // Disabled signals never engage.
+        assert_eq!(fresh(&d, 1, 11), None);
+        // A disabled ladder never engages.
         let off = DegradeConfig::disabled();
-        assert_eq!(fresh(&off, 1000, usize::MAX, 1e9), None);
+        assert_eq!(fresh(&off, 1000, usize::MAX), None);
     }
 
     /// The flapping regression: load oscillating right at the entry
@@ -553,14 +498,14 @@ mod tests {
     #[test]
     fn degrade_ladder_hysteresis_does_not_flap_on_boundary_straddling_load() {
         let ms = 1_000_000u64;
-        let d = DegradeConfig { queue_depth_threshold: 10, p99_target_ms: 0.0 };
+        let d = DegradeConfig { queue_depth_threshold: 10 };
         let mut st = LadderState::default();
 
         // Below threshold: full budget, signal cold.
-        assert_eq!(d.step(&mut st, 1000, 10, 0.0, 0), None);
+        assert_eq!(d.step(&mut st, 1000, 10, 0), None);
         assert!(!st.depth_hot());
         // Entry is immediate on the first crossing.
-        assert_eq!(d.step(&mut st, 1000, 11, 0.0, ms), Some(250));
+        assert_eq!(d.step(&mut st, 1000, 11, ms), Some(250));
         assert!(st.depth_hot());
 
         // Boundary-straddling load (11, 10, 11, 10, …): pre-hysteresis
@@ -568,18 +513,18 @@ mod tests {
         // 10 is inside the band (exit needs <= 8).
         for t in 2..100u64 {
             let depth = if t % 2 == 0 { 11 } else { 10 };
-            assert_eq!(d.step(&mut st, 1000, depth, 0.0, t * ms), Some(250), "flapped at t={t}");
+            assert_eq!(d.step(&mut st, 1000, depth, t * ms), Some(250), "flapped at t={t}");
         }
         // Drop clearly below the exit band, but within the 100 ms
         // cooldown of the last entry-crossing (t=98ms + 100ms): still
         // degraded.
-        assert_eq!(d.step(&mut st, 1000, 2, 0.0, 170 * ms), Some(250));
+        assert_eq!(d.step(&mut st, 1000, 2, 170 * ms), Some(250));
         assert!(st.depth_hot());
         // Same load after the cooldown expires: the ladder disengages.
-        assert_eq!(d.step(&mut st, 1000, 2, 0.0, 199 * ms), None);
+        assert_eq!(d.step(&mut st, 1000, 2, 199 * ms), None);
         assert!(!st.depth_hot());
         // Re-entry is immediate again.
-        assert_eq!(d.step(&mut st, 1000, 11, 0.0, 200 * ms), Some(250));
+        assert_eq!(d.step(&mut st, 1000, 11, 200 * ms), Some(250));
     }
 
     #[test]

@@ -1,42 +1,38 @@
-//! The concurrent serving front-end: bounded submission queue →
-//! dispatcher (micro-batcher) → executor pool.
+//! The concurrent serving front-end: one bounded queue (the
+//! [`MicroBatcher`]) that executors pull ready batches from.
 //!
 //! Threads, no async runtime:
 //!
 //! * **Submitters** (any number of caller threads) hand a `(tenant,
-//!   query)` pair to [`Server::submit`], which `try_send`s onto a bounded
-//!   MPSC channel and returns a [`Ticket`] — a oneshot reply slot. A full
-//!   channel rejects immediately with [`SubmitError::Overloaded`]: the
-//!   submitter is never blocked by a slow model (backpressure is typed,
-//!   not implicit).
-//! * **The dispatcher** (one thread) pulls requests off the channel into
-//!   per-tenant lanes of a [`MicroBatcher`] and flushes a lane when it
-//!   reaches `max_batch` or its oldest request ages past `max_delay`,
-//!   whichever first. At flush time it consults the degradation ladder
-//!   (queue depth + rolling p99) to pick the batch's sample budget, then
-//!   enqueues a [`BatchJob`] for the executors.
-//! * **Executors** (a small pool) run each job through one
+//!   query)` pair to [`Server::submit`], which pushes it into its
+//!   tenant's lane of the queue and returns a [`Ticket`] — a oneshot
+//!   reply slot. A queue already holding `queue_capacity` requests
+//!   rejects immediately with [`SubmitError::Overloaded`]: the submitter
+//!   is never blocked by a slow model (backpressure is typed, not
+//!   implicit).
+//! * **Executors** (a small pool) wait on the queue for a ready lane —
+//!   `max_batch` requests, or its oldest request aged past `max_delay`;
+//!   the oldest ready lane first — and take up to `max_batch` of its
+//!   requests. Outside the lock each batch gets its sample budget from
+//!   the degradation ladder (queue depth) and runs through one
 //!   [`uae_core::serve_batch`] call — so the tenant's router (if any)
-//!   partitions the batch and the whole validation → sample → retry →
-//!   baseline → clamp cascade applies to the primary's share — and fill
-//!   every request's reply slot. A panic in the batch attempt is caught;
-//!   only that batch's requests see [`ServerError::ExecutorPanic`], and
-//!   the executor thread survives.
+//!   partitions it and the whole validation → sample → retry → baseline
+//!   → clamp cascade applies to the primary's share. A panic in the batch
+//!   attempt is caught; only that batch's requests see
+//!   [`ServerError::ExecutorPanic`], and the executor thread survives.
 //!
-//! [`Server::shutdown`] closes the submission channel, lets the
-//! dispatcher drain every pending request as final `Drain`-reason
-//! batches, runs them to completion and joins all threads — every
-//! accepted request is answered before `shutdown` returns.
+//! [`Server::shutdown`] closes the queue to new submissions; the
+//! executors drain every pending request as final `Drain`-reason batches
+//! (lane order, at most `max_batch` each), run them to completion and
+//! exit — every accepted request is answered before `shutdown` returns.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
 use uae_core::{serve_batch, Estimate, EstimateError, EstimateSource, Event, FlushReason, Sink};
 use uae_query::{CardEstimator, LabeledQuery, Query};
 
@@ -77,20 +73,20 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// Flush a lane once its oldest request has waited this long.
     pub max_delay: Duration,
-    /// Bounded submission-queue capacity; `submit` beyond it rejects
-    /// with [`SubmitError::Overloaded`].
+    /// Bound on queued requests (accepted, not yet taken by an executor);
+    /// `submit` beyond it rejects with [`SubmitError::Overloaded`].
     pub queue_capacity: usize,
     /// Batch-executor threads. `1` plus `max_batch = usize::MAX` is the
     /// deterministic replay configuration.
     pub executors: usize,
     /// Degradation ladder, applied to every tenant.
     pub degrade: DegradeConfig,
-    /// Rolling end-to-end latency window size feeding the ladder's p99
-    /// signal and [`ServerStats::p99_ms`].
+    /// Rolling end-to-end latency window size behind
+    /// [`ServerStats::p50_ms`] and [`ServerStats::p99_ms`].
     pub latency_window: usize,
     /// Front-end fault injection (executor-level panics).
     pub fault: ServerFaultPlan,
-    /// Start with the dispatcher paused: submissions queue up (to
+    /// Start with the queue paused: submissions queue up (to
     /// `queue_capacity`) but nothing flushes until [`Server::resume`] —
     /// or [`Server::shutdown`], which drains the backlog as
     /// `Drain`-reason batches. Tests use this to build exact batches
@@ -120,7 +116,7 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The deterministic replay configuration: one executor, unbounded
-    /// batch size, paused dispatcher. Submit a sequence, then
+    /// batch size, paused queue. Submit a sequence, then
     /// [`Server::shutdown`] — each tenant's requests execute as a single
     /// batch bit-identical to [`Uae::try_estimate_cards`] on the same
     /// queries in submit order.
@@ -276,7 +272,7 @@ struct Request {
     deadline: Option<Instant>,
 }
 
-/// A flushed micro-batch awaiting an executor.
+/// A flushed micro-batch, ready to run.
 struct BatchJob {
     /// Batch flush sequence number.
     seq: u64,
@@ -287,53 +283,15 @@ struct BatchJob {
     samples_override: Option<usize>,
 }
 
-/// Executor work queue: `std::sync` Mutex + Condvar. `pop` keeps
-/// returning queued jobs after `close()` until empty, so a shutdown
-/// drain executes everything it flushed.
-#[derive(Default)]
-struct JobQueue {
-    state: Mutex<JobState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct JobState {
-    queue: VecDeque<BatchJob>,
-    closed: bool,
-}
-
-impl JobQueue {
-    fn push(&self, job: BatchJob) {
-        let mut st = self.state.lock().expect("job queue poisoned");
-        st.queue.push_back(job);
-        self.cv.notify_one();
-    }
-
-    fn pop(&self) -> Option<BatchJob> {
-        let mut st = self.state.lock().expect("job queue poisoned");
-        loop {
-            if let Some(job) = st.queue.pop_front() {
-                return Some(job);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.cv.wait(st).expect("job queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().expect("job queue poisoned");
-        st.closed = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Dispatcher pause gate (see [`ServerConfig::start_paused`]).
-#[derive(Default)]
-struct PauseGate {
-    paused: Mutex<bool>,
-    cv: Condvar,
+/// The one serving queue, behind [`Shared::queue`]: every accepted
+/// request waits here, in its tenant's lane, until an executor takes it
+/// in a batch.
+struct Queue {
+    batcher: MicroBatcher<Request>,
+    /// See [`ServerConfig::start_paused`]; executors take nothing while set.
+    paused: bool,
+    /// Set by shutdown: submissions bounce and executors drain the lanes.
+    closing: bool,
 }
 
 /// Bounded store of served-but-unlabeled queries, keyed by request id,
@@ -383,9 +341,13 @@ struct Shared {
     stats: ServerStatsCell,
     latency: LatencyWindow,
     sink: parking_lot::Mutex<Option<Box<dyn Sink>>>,
-    jobs: JobQueue,
-    gate: PauseGate,
-    shutting_down: AtomicBool,
+    /// `std::sync` Mutex + Condvar (the vendored `parking_lot` carries no
+    /// Condvar). Submitters notify `ready` after each push; executors
+    /// wait on it for a ready lane.
+    queue: Mutex<Queue>,
+    ready: Condvar,
+    /// Zero of the batcher's nanosecond clock.
+    epoch: Instant,
     request_seq: AtomicU64,
     batch_seq: AtomicU64,
     degrade: DegradeConfig,
@@ -400,6 +362,10 @@ struct Shared {
 }
 
 impl Shared {
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
     fn emit(&self, event: Event) {
         if let Some(sink) = self.sink.lock().as_mut() {
             sink.emit(&event);
@@ -411,23 +377,29 @@ impl Shared {
 /// pipeline shape; construct with [`Server::start`].
 pub struct Server {
     shared: Arc<Shared>,
-    submit_tx: RwLock<Option<SyncSender<Request>>>,
-    dispatcher: Option<JoinHandle<()>>,
     executors: Vec<JoinHandle<()>>,
     cfg: ServerConfig,
 }
 
 impl Server {
-    /// Spawn the dispatcher and executor pool over `registry`.
+    /// Spawn the executor pool over `registry`.
     pub fn start(registry: Arc<Registry>, cfg: ServerConfig) -> Server {
         let shared = Arc::new(Shared {
             registry: registry.clone(),
             stats: ServerStatsCell::default(),
             latency: LatencyWindow::new(cfg.latency_window),
             sink: parking_lot::Mutex::new(None),
-            jobs: JobQueue::default(),
-            gate: PauseGate { paused: Mutex::new(cfg.start_paused), cv: Condvar::new() },
-            shutting_down: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                batcher: MicroBatcher::new(
+                    registry.len(),
+                    cfg.max_batch,
+                    cfg.max_delay.as_nanos() as u64,
+                ),
+                paused: cfg.start_paused,
+                closing: false,
+            }),
+            ready: Condvar::new(),
+            epoch: Instant::now(),
             request_seq: AtomicU64::new(0),
             batch_seq: AtomicU64::new(0),
             degrade: cfg.degrade.clone(),
@@ -435,16 +407,6 @@ impl Server {
             seen_swap_epoch: AtomicU64::new(registry.swap_epoch()),
             labels: parking_lot::Mutex::new(PendingLabels::new(cfg.label_buffer)),
         });
-        let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
-        let dispatcher = {
-            let shared = shared.clone();
-            let max_batch = cfg.max_batch;
-            let max_delay = cfg.max_delay;
-            std::thread::Builder::new()
-                .name("uae-dispatch".into())
-                .spawn(move || dispatcher_loop(shared, rx, max_batch, max_delay))
-                .expect("spawn dispatcher")
-        };
         let executors = (0..cfg.executors.max(1))
             .map(|i| {
                 let shared = shared.clone();
@@ -454,13 +416,7 @@ impl Server {
                     .expect("spawn executor")
             })
             .collect();
-        Server {
-            shared,
-            submit_tx: RwLock::new(Some(tx)),
-            dispatcher: Some(dispatcher),
-            executors,
-            cfg,
-        }
+        Server { shared, executors, cfg }
     }
 
     /// The tenant registry this server serves from.
@@ -494,7 +450,7 @@ impl Server {
 
     /// [`Server::submit`] with a drop-dead budget: if the request is
     /// still queued when `deadline` (measured from now) has elapsed, the
-    /// dispatcher drops it at flush time and the ticket resolves to
+    /// executor drops it at flush time and the ticket resolves to
     /// [`ServerError::DeadlineExceeded`] instead of waiting on a batch
     /// whose answer would arrive too late. Requests already handed to an
     /// executor run to completion — the deadline bounds *queueing*, not
@@ -519,12 +475,19 @@ impl Server {
             self.shared.stats.rejected_unknown_tenant.fetch_add(1, Ordering::SeqCst);
             return Err(SubmitError::UnknownTenant(tenant.to_owned()));
         };
-        let tx_guard = self.submit_tx.read();
-        let Some(tx) = tx_guard.as_ref() else {
-            return Err(SubmitError::ShuttingDown);
-        };
         let reply = Arc::new(ReplySlot::new());
+        let mut queue = self.shared.queue.lock().expect("serving queue poisoned");
+        if queue.closing {
+            return Err(SubmitError::ShuttingDown);
+        }
+        if queue.batcher.pending() >= self.cfg.queue_capacity.max(1) {
+            self.shared.stats.rejected_overloaded.fetch_add(1, Ordering::SeqCst);
+            return Err(SubmitError::Overloaded);
+        }
         let id = self.shared.request_seq.fetch_add(1, Ordering::SeqCst);
+        self.shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
+        self.shared.stats.enter();
+        let lane = tenant.lane();
         let request = Request {
             id,
             tenant,
@@ -533,18 +496,10 @@ impl Server {
             submitted: Instant::now(),
             deadline,
         };
-        match tx.try_send(request) {
-            Ok(()) => {
-                self.shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
-                self.shared.stats.enter();
-                Ok(Ticket { id, slot: reply })
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.stats.rejected_overloaded.fetch_add(1, Ordering::SeqCst);
-                Err(SubmitError::Overloaded)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShuttingDown),
-        }
+        queue.batcher.push(lane, request, self.shared.now_ns());
+        drop(queue);
+        self.shared.ready.notify_one();
+        Ok(Ticket { id, slot: reply })
     }
 
     /// Convenience: submit and block for the reply.
@@ -579,11 +534,10 @@ impl Server {
         self.shared.labels.lock().map.len()
     }
 
-    /// Resume a dispatcher started paused
-    /// ([`ServerConfig::start_paused`]).
+    /// Resume a queue started paused ([`ServerConfig::start_paused`]).
     pub fn resume(&self) {
-        *self.shared.gate.paused.lock().expect("pause gate poisoned") = false;
-        self.shared.gate.cv.notify_all();
+        self.shared.queue.lock().expect("serving queue poisoned").paused = false;
+        self.shared.ready.notify_all();
     }
 
     /// Snapshot of the front-end counters, including rolling-window
@@ -615,17 +569,10 @@ impl Server {
     }
 
     fn shutdown_inner(&mut self) {
-        // Drop the sender so the dispatcher sees Disconnected once the
-        // channel empties.
-        *self.submit_tx.write() = None;
-        // Wake a paused dispatcher into the drain path.
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        self.shared.gate.cv.notify_all();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
-        // The dispatcher closed the job queue on exit; executors finish
-        // the remaining jobs and stop.
+        // Executors drain every lane once `closing` is set (a paused queue
+        // included), then exit.
+        self.shared.queue.lock().expect("serving queue poisoned").closing = true;
+        self.shared.ready.notify_all();
         for handle in self.executors.drain(..) {
             let _ = handle.join();
         }
@@ -634,7 +581,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.dispatcher.is_some() {
+        if !self.executors.is_empty() {
             self.shutdown_inner();
         }
     }
@@ -660,78 +607,51 @@ impl std::fmt::Display for ServeCallError {
 
 impl std::error::Error for ServeCallError {}
 
-fn dispatcher_loop(
-    shared: Arc<Shared>,
-    rx: Receiver<Request>,
-    max_batch: usize,
-    max_delay: Duration,
-) {
-    let epoch = Instant::now();
-    let now_ns = |epoch: Instant| epoch.elapsed().as_nanos() as u64;
-    let mut batcher: MicroBatcher<Request> =
-        MicroBatcher::new(shared.registry.len(), max_batch, max_delay.as_nanos() as u64);
+fn executor_loop(shared: Arc<Shared>) {
+    while let Some((lane, requests, reason)) = next_batch(&shared) {
+        flush(&shared, lane, requests, reason);
+    }
+}
+
+/// Block until a lane is ready (or, once closing, the next drain chunk)
+/// and take its batch; `None` once the closed queue is empty.
+fn next_batch(shared: &Shared) -> Option<(usize, Vec<Request>, FlushReason)> {
+    let mut queue = shared.queue.lock().expect("serving queue poisoned");
     loop {
-        // Pause gate: while paused, requests pile up in the bounded
-        // channel (that is the point — backpressure becomes visible).
-        {
-            let mut paused = shared.gate.paused.lock().expect("pause gate poisoned");
-            while *paused && !shared.shutting_down.load(Ordering::SeqCst) {
-                paused = shared.gate.cv.wait(paused).expect("pause gate poisoned");
-            }
+        if queue.closing {
+            return queue
+                .batcher
+                .drain()
+                .map(|(lane, requests)| (lane, requests, FlushReason::Drain));
         }
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            // Pull whatever is still buffered in the channel, then fall
-            // through to the drain below.
-            while let Ok(req) = rx.try_recv() {
-                enqueue(&shared, &mut batcher, req, now_ns(epoch));
-            }
-            break;
+        if queue.paused {
+            queue = shared.ready.wait(queue).expect("serving queue poisoned");
+            continue;
         }
-        match batcher.poll(now_ns(epoch)) {
+        match queue.batcher.poll(shared.now_ns()) {
             Poll::Flush { lane, reason } => {
-                let requests = batcher.take(lane);
-                flush(&shared, lane, requests, reason, now_ns(epoch));
+                let requests = queue.batcher.take(lane);
+                if queue.batcher.pending() > 0 {
+                    // This executor may have been the one timing the
+                    // remaining lanes' deadlines: hand that to another.
+                    shared.ready.notify_one();
+                }
+                return Some((lane, requests, reason));
             }
-            Poll::WaitNs(ns) => match rx.recv_timeout(Duration::from_nanos(ns)) {
-                Ok(req) => enqueue(&shared, &mut batcher, req, now_ns(epoch)),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            },
-            Poll::Idle => match rx.recv() {
-                Ok(req) => enqueue(&shared, &mut batcher, req, now_ns(epoch)),
-                Err(_) => break,
-            },
+            Poll::WaitNs(ns) => {
+                let timeout = Duration::from_nanos(ns);
+                queue =
+                    shared.ready.wait_timeout(queue, timeout).expect("serving queue poisoned").0;
+            }
+            Poll::Idle => queue = shared.ready.wait(queue).expect("serving queue poisoned"),
         }
     }
-    // Shutdown drain: every pending lane flushes as one final batch.
-    for (lane, requests) in batcher.drain_all() {
-        flush(&shared, lane, requests, FlushReason::Drain, now_ns(epoch));
-    }
-    shared.jobs.close();
 }
 
-/// Push one request into its tenant's lane, flushing on size.
-fn enqueue(shared: &Arc<Shared>, batcher: &mut MicroBatcher<Request>, req: Request, now_ns: u64) {
-    let lane = req.tenant.lane();
-    if let Some(reason) = batcher.push(lane, req, now_ns) {
-        let requests = batcher.take(lane);
-        flush(shared, lane, requests, reason, now_ns);
-    }
-}
-
-/// Turn a flushed lane into a [`BatchJob`]: pick the degraded budget from
-/// the current load signals, account the flush, hand it to the executors.
-fn flush(
-    shared: &Arc<Shared>,
-    lane: usize,
-    mut requests: Vec<Request>,
-    reason: FlushReason,
-    now_ns: u64,
-) {
-    if requests.is_empty() {
-        return;
-    }
-    // Expired-in-queue requests never reach an executor: answering them
+/// Run a batch taken from the queue: drop expired requests, pick the
+/// degraded budget from the queue depth, account the flush, execute.
+fn flush(shared: &Arc<Shared>, lane: usize, mut requests: Vec<Request>, reason: FlushReason) {
+    // Expired-in-queue requests never reach the model: answering them
     // would burn batch budget on estimates the caller has already given
     // up on. Dropped here (the single point every request passes through
     // on its way to a batch), counted separately from the `Overloaded`
@@ -755,20 +675,15 @@ fn flush(
     }
     let tenant = shared.registry.by_lane(lane).unwrap_or_else(|| requests[0].tenant.clone());
     // A model publication since the last flush invalidates the rolling
-    // latency window: its samples describe the replaced model and would
-    // keep feeding the ladder's p99 signal against the new one.
+    // latency window: its samples describe the replaced model.
     let epoch = shared.registry.swap_epoch();
     if shared.seen_swap_epoch.swap(epoch, Ordering::SeqCst) != epoch {
         shared.latency.reset();
     }
     let queue_depth = shared.stats.depth();
-    // The ladder ignores p99 while its latency signal is off; skip the
-    // clone-and-sort of the latency ring then.
-    let p99_ms =
-        if shared.degrade.p99_target_ms > 0.0 { shared.latency.quantile(0.99) } else { 0.0 };
     let configured = tenant.model().estimate_samples();
     let samples_override =
-        tenant.degrade_budget(&shared.degrade, configured, queue_depth, p99_ms, now_ns);
+        tenant.degrade_budget(&shared.degrade, configured, queue_depth, shared.now_ns());
     let seq = shared.batch_seq.fetch_add(1, Ordering::SeqCst);
     let stats = &shared.stats;
     stats.batches.fetch_add(1, Ordering::SeqCst);
@@ -785,13 +700,7 @@ fn flush(
         reason,
         queue_depth,
     });
-    shared.jobs.push(BatchJob { seq, tenant, requests, samples_override });
-}
-
-fn executor_loop(shared: Arc<Shared>) {
-    while let Some(job) = shared.jobs.pop() {
-        run_batch(&shared, job);
-    }
+    run_batch(shared, BatchJob { seq, tenant, requests, samples_override });
 }
 
 /// Execute one micro-batch end to end: one panic-isolated

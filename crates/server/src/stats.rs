@@ -1,7 +1,6 @@
 //! Server-side counters: submission/rejection/completion tallies, the
 //! flush-reason split, a batch-size histogram, queue-depth gauges and a
-//! rolling end-to-end latency window for p50/p99 (which also feeds the
-//! degradation ladder's latency signal).
+//! rolling end-to-end latency window for p50/p99.
 //!
 //! Everything on the submit/execute hot paths is an atomic; the latency
 //! ring takes a short mutex per completed batch. [`ServerStatsCell`] is the
@@ -77,8 +76,7 @@ impl LatencyWindow {
 
     /// Drop every observation (the window restarts empty). Called on a
     /// model hot-swap: pre-swap latencies describe the replaced model
-    /// and must not keep steering the degradation ladder against the
-    /// new one.
+    /// and must not shape the quantiles reported for the new one.
     pub fn reset(&self) {
         let mut st = self.ring.lock();
         st.buf.clear();
@@ -118,9 +116,7 @@ pub struct ServerStatsCell {
     pub(crate) flush_drain: AtomicU64,
     pub(crate) executor_panics: AtomicU64,
     pub(crate) batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
-    /// Signed: a submitter raises the gauge only after its request is
-    /// queued, so an executor can lower it first and take it below zero
-    /// for a moment. Readers clamp at zero.
+    /// Signed, so a stray `exit` cannot wrap it; readers clamp at zero.
     pub(crate) queue_depth: AtomicIsize,
     pub(crate) max_queue_depth: AtomicUsize,
     pub(crate) queue_wait_ns: AtomicU64,

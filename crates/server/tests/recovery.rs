@@ -324,7 +324,7 @@ fn expired_deadlines_are_dropped_and_counted_separately() {
     let registry = Arc::new(Registry::new());
     registry.register("census", model);
 
-    // Paused dispatcher: requests sit in the queue until shutdown drains
+    // Paused queue: requests sit in it until shutdown drains
     // them, by which point the short deadlines have long expired.
     let server = Server::start(registry, ServerConfig::deterministic(64));
     let workload = generate_workload(&table, &WorkloadSpec::random(8, 0xabc), &HashSet::new());

@@ -1,15 +1,18 @@
 //! End-to-end tests for the concurrent serving front-end: deterministic
 //! replay against the engine's own batch path, typed backpressure,
-//! batch-level panic isolation, and the SLO degradation ladder.
+//! batch-level panic isolation, the degradation ladder, and counter
+//! reconciliation under concurrent submitters.
 
-use std::collections::HashSet;
-use std::sync::Arc;
+use std::collections::{HashSet, VecDeque};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use uae_core::{EstimateSource, Event, MemorySink, ResMadeConfig, TrainConfig, Uae, UaeConfig};
 use uae_data::census_like;
 use uae_query::{generate_workload, Query, WorkloadSpec};
 use uae_server::{
     DegradeConfig, Registry, Server, ServerConfig, ServerError, ServerFaultPlan, SubmitError,
+    Ticket,
 };
 
 fn quick_uae(rows: usize, seed: u64) -> Uae {
@@ -34,7 +37,7 @@ fn quick_queries(rows: usize, seed: u64, n: usize, qseed: u64) -> Vec<Query> {
 }
 
 /// Satellite 1 — the determinism escape hatch. One executor, unbounded
-/// batch, paused dispatcher: a submitted request sequence drains as a
+/// batch, paused queue: a submitted request sequence drains as a
 /// single batch whose replies are bit-identical to
 /// [`Uae::try_estimate_cards`] on the same queries in the same order.
 #[test]
@@ -83,7 +86,7 @@ fn deterministic_replay_matches_estimate_batch() {
 
 /// Satellite 3a — backpressure. A full bounded queue rejects the
 /// submitter immediately with a typed error; nothing blocks, the counts
-/// reconcile, and the queued requests all complete once the dispatcher
+/// reconcile, and the queued requests all complete once the queue
 /// resumes.
 #[test]
 fn overload_rejects_typed_without_blocking() {
@@ -106,7 +109,7 @@ fn overload_rejects_typed_without_blocking() {
     for q in queries.iter().take(cap) {
         tickets.push(server.submit("census", q.clone()).expect("under capacity"));
     }
-    // The queue is full and the dispatcher is paused: the next submits
+    // The queue is full and paused: the next submits
     // must bounce right here rather than block the caller.
     for q in queries.iter().skip(cap) {
         assert_eq!(server.submit("census", q.clone()).unwrap_err(), SubmitError::Overloaded);
@@ -192,7 +195,7 @@ fn degradation_engages_under_queue_depth() {
     let server = Server::start(
         registry,
         ServerConfig {
-            degrade: DegradeConfig { queue_depth_threshold: 4, ..DegradeConfig::default() },
+            degrade: DegradeConfig { queue_depth_threshold: 4 },
             ..ServerConfig::deterministic(64)
         },
     );
@@ -235,10 +238,9 @@ fn swap_model_publishes_new_snapshot() {
     t.wait().expect("estimate from the swapped model");
 }
 
-/// Satellite 3 (this PR) — swap-time hygiene: the rolling latency
-/// window drops its pre-swap samples at the first post-swap flush, so
-/// the degradation ladder's p99 signal never judges the new model by
-/// the old model's latencies.
+/// Swap-time hygiene: the rolling latency window drops its pre-swap
+/// samples at the first post-swap flush, so the reported p50/p99 never
+/// judge the new model by the old model's latencies.
 #[test]
 fn latency_window_resets_on_hot_swap() {
     let registry = Arc::new(Registry::new());
@@ -346,4 +348,152 @@ fn hot_swap_race_answers_every_request_from_exactly_one_version() {
         stats.accepted,
         "terminal counters must reconcile with accepted"
     );
+}
+
+/// `queue_capacity` bounds the queued requests of a *running* server,
+/// not only of a paused one: with no batch ever due (unbounded batch,
+/// hour-long delay) the fifth submit bounces, and shutdown answers the
+/// four it accepted.
+#[test]
+fn running_server_bounds_queued_requests_by_capacity() {
+    let queries = quick_queries(400, 19, 12, 57);
+    let registry = Arc::new(Registry::new());
+    registry.register("census", quick_uae(400, 19));
+    let server = Server::start(
+        registry,
+        ServerConfig {
+            max_batch: usize::MAX,
+            max_delay: Duration::from_secs(3600),
+            queue_capacity: 4,
+            executors: 1,
+            degrade: DegradeConfig::disabled(),
+            ..ServerConfig::default()
+        },
+    );
+
+    let (mut tickets, mut overloaded) = (Vec::new(), 0);
+    for q in &queries {
+        // Spaced out so whatever runs behind the queue gets scheduled
+        // between submits: the bound must not depend on how fast a
+        // request leaves the submit path.
+        std::thread::sleep(Duration::from_millis(2));
+        match server.submit("census", q.clone()) {
+            Ok(ticket) => tickets.push(ticket),
+            Err(e) => overloaded += usize::from(e == SubmitError::Overloaded),
+        }
+    }
+    assert_eq!(tickets.len(), 4, "a running server must not accept past queue_capacity");
+    assert_eq!(overloaded, 8);
+
+    let stats = server.shutdown();
+    for t in tickets {
+        t.wait().expect("shutdown answers every accepted request");
+    }
+    let counts = (stats.accepted, stats.completed, stats.max_queue_depth, stats.flush_drain);
+    assert_eq!(counts, (4, 4, 4, stats.batches));
+}
+
+/// Four submitters (each keeping a few tickets outstanding) race plain
+/// and deadline-bounded requests for two tenants into a small queue with
+/// two executors: every accepted ticket resolves, and every counter, the
+/// in-flight bound and the logged batch sizes reconcile.
+#[test]
+fn concurrent_submitters_reconcile_every_counter() {
+    const SUBMITTERS: usize = 4;
+    const PER_SUBMITTER: usize = 60;
+    let (max_batch, queue_capacity, executors) = (8usize, 16usize, 2usize);
+    let registry = Arc::new(Registry::new());
+    registry.register("alpha", quick_uae(400, 83));
+    registry.register("beta", quick_uae(400, 89));
+    let workloads = [quick_queries(400, 83, 16, 5), quick_queries(400, 89, 16, 7)];
+    let server = Server::start(
+        registry,
+        ServerConfig {
+            max_batch,
+            max_delay: Duration::from_millis(1),
+            queue_capacity,
+            executors,
+            degrade: DegradeConfig::disabled(),
+            ..ServerConfig::default()
+        },
+    );
+    let (sink, events) = MemorySink::new();
+    server.set_sink(Box::new(sink));
+
+    let (mut replies, mut outstanding) = (Vec::new(), Vec::new());
+    let start = Barrier::new(SUBMITTERS);
+    std::thread::scope(|scope| {
+        let (server, workloads, start) = (&server, &workloads, &start);
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|s| {
+                scope.spawn(move || {
+                    start.wait();
+                    let (mut replies, mut tickets) = (Vec::new(), VecDeque::new());
+                    for i in 0..PER_SUBMITTER {
+                        let lane = (s + i) % 2;
+                        let (tenant, query) =
+                            (["alpha", "beta"][lane], workloads[lane][i % 16].clone());
+                        // Every third request carries a deadline; the
+                        // tightest ones expire while queued.
+                        let outcome = match i % 3 {
+                            0 => server.submit_with_deadline(
+                                tenant,
+                                query,
+                                Duration::from_micros(50 * i as u64),
+                            ),
+                            _ => server.submit(tenant, query),
+                        };
+                        match outcome {
+                            Ok(ticket) => tickets.push_back(ticket),
+                            Err(e) => assert_eq!(e, SubmitError::Overloaded),
+                        }
+                        if tickets.len() > 4 {
+                            replies.extend(tickets.pop_front().map(Ticket::wait));
+                        }
+                    }
+                    (replies, tickets)
+                })
+            })
+            .collect();
+        for handle in submitters {
+            let (done, open) = handle.join().expect("submitter thread");
+            replies.extend(done);
+            outstanding.extend(open);
+        }
+    });
+
+    let stats = server.shutdown();
+    replies.extend(outstanding.into_iter().map(Ticket::wait));
+    assert!(!replies.iter().any(|r| r == &Err(ServerError::ExecutorPanic)));
+    let count = |want: fn(&Result<_, ServerError>) -> bool| {
+        replies.iter().filter(|r| want(r)).count() as u64
+    };
+    assert_eq!(replies.len() as u64, stats.accepted, "every accepted ticket resolved");
+    assert_eq!(count(Result::is_ok), stats.completed);
+    assert_eq!(count(|r| r == &Err(ServerError::DeadlineExceeded)), stats.deadline_exceeded);
+
+    assert_eq!(stats.submitted, (SUBMITTERS * PER_SUBMITTER) as u64);
+    assert_eq!(
+        stats.submitted,
+        stats.accepted + stats.rejected_overloaded + stats.rejected_unknown_tenant
+    );
+    assert_eq!(
+        stats.completed + stats.query_errors + stats.failed + stats.deadline_exceeded,
+        stats.accepted
+    );
+    assert_eq!(stats.flush_size + stats.flush_deadline + stats.flush_drain, stats.batches);
+    assert_eq!(stats.batch_hist.iter().sum::<u64>(), stats.batches);
+    assert_eq!(stats.queue_depth, 0);
+    assert!(stats.max_queue_depth <= queue_capacity + executors * max_batch);
+
+    let events = events.lock().expect("event log");
+    let sizes: Vec<usize> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::BatchFlushed { size, .. } => Some(*size),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sizes.len() as u64, stats.batches);
+    assert!(sizes.iter().all(|&n| (1..=max_batch).contains(&n)), "batch sizes {sizes:?}");
 }

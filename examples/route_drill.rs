@@ -11,8 +11,8 @@
 //! 1. route **deterministically** — rebuilding the router from the same
 //!    seeds and replaying the workload reproduces every decision and
 //!    every fleet estimate bit for bit, both under the calibrated policy
-//!    and under the hand threshold rule, which serves every dmv query
-//!    from the primary model;
+//!    and under a threshold rule that never fires, which serves every
+//!    query of both regimes from the primary model;
 //! 2. be **no worse** than the best single estimator on each regime
 //!    (median q-error);
 //! 3. be **strictly better** than every single estimator on the blended
@@ -237,7 +237,7 @@ fn main() {
     let regimes = [regime_a, regime_b];
 
     // ---- determinism: same seeds ⇒ same policy, decisions, estimates --
-    for (i, r) in regimes.iter().enumerate() {
+    for r in &regimes {
         let ra = r.router();
         let rb = r.router();
         assert_eq!(ra.policy(), rb.policy(), "[{}] calibration must be deterministic", r.name);
@@ -255,14 +255,17 @@ fn main() {
             r.name
         );
         // The calibrated policies send every test query to a backend, so
-        // replay under the hand rule too: it keeps every query on a narrow
-        // table (all of dmv) and correlated wide shapes on the primary,
-        // whose RNG stream and cascade must replay as well.
-        let threshold = || Router::threshold(&r.table, r.backends(), RouteConfig::default());
-        let replies = r.serve_fleet(threshold(), None).0;
+        // replay under a rule that never fires too (no table counts as
+        // wide): every query goes to the primary, whose RNG stream and
+        // cascade must replay as well.
+        let all_primary = || {
+            let cfg = RouteConfig { wide_table: usize::MAX, ..RouteConfig::default() };
+            Router::threshold(&r.table, r.backends(), cfg)
+        };
+        let replies = r.serve_fleet(all_primary(), None).0;
         assert_eq!(
             replies,
-            r.serve_fleet(threshold(), None).0,
+            r.serve_fleet(all_primary(), None).0,
             "[{}] primary-served estimates must replay bit-identically",
             r.name
         );
@@ -271,12 +274,11 @@ fn main() {
             .filter(|e| matches!(e, Ok(e) if e.source == EstimateSource::Model))
             .count();
         println!(
-            "[route] [{}] threshold rule: {model} of {} served by the model",
+            "[route] [{}] all-primary rule: {model} of {} served by the model",
             r.name,
             replies.len()
         );
-        // Regime A is dmv: every one of its queries goes to the primary.
-        assert!(i > 0 || model > 0, "[{}] the threshold rule must serve from the model", r.name);
+        assert!(model > 0, "[{}] the all-primary rule must serve from the model", r.name);
     }
     println!("[route] determinism: policies, decisions and fleet estimates replay identically");
 

@@ -1,7 +1,7 @@
 //! Concurrent-serving smoke drill: stand up the micro-batching front-end
 //! over two tenants, fire an unpaced burst at a deliberately small queue,
 //! and show every moving part working — size/deadline flushes, typed
-//! `Overloaded` load shedding, the SLO degradation ladder, a mid-run
+//! `Overloaded` load shedding, the queue-depth degradation ladder, a mid-run
 //! model hot-swap, and a clean drain where every accepted request is
 //! answered. Front-end telemetry (one JSONL line per batch flush and
 //! served request) goes to `--metrics-out` (default
@@ -77,7 +77,7 @@ fn main() {
             max_delay: Duration::from_millis(2),
             queue_capacity: 96,
             executors: 1,
-            degrade: DegradeConfig { queue_depth_threshold: 16, ..DegradeConfig::default() },
+            degrade: DegradeConfig { queue_depth_threshold: 16 },
             latency_window: 1024,
             ..ServerConfig::default()
         },
@@ -114,6 +114,10 @@ fn main() {
         }
     }
 
+    // The queue holds at most `queue_capacity` requests and each executor
+    // at most one batch, so that bounds the in-flight high-water mark.
+    let cfg = server.config();
+    let depth_bound = cfg.queue_capacity + cfg.executors * cfg.max_batch;
     let stats = server.shutdown();
     let mut answered = 0u64;
     for t in tickets {
@@ -149,6 +153,11 @@ fn main() {
     assert_eq!(stats.completed, answered);
     assert_eq!(stats.queue_depth, 0, "nothing left in flight after shutdown");
     assert_eq!(stats.failed, 0, "no executor panics in a clean run");
+    assert!(
+        stats.max_queue_depth <= depth_bound,
+        "max depth {} exceeds queue capacity + one batch per executor ({depth_bound})",
+        stats.max_queue_depth
+    );
     assert!(stats.batches > 0 && stats.rejected_unknown_tenant == 1);
     assert!(
         stats.degraded_requests > 0,
