@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy (all targets, deny warnings) =="
 cargo clippy --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings: broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+    --exclude rand --exclude proptest --exclude parking_lot
+
 echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q

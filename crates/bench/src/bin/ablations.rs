@@ -118,9 +118,9 @@ fn main() {
             let mut grads = GradStore::zeros_like(store);
             let mut tape = Tape::new(store);
             let loss = if use_sf {
-                score_function_loss(&mut tape, &net, store, &schema_c, b, 1e4, baseline, rng).0
+                score_function_loss(&mut tape, &net, store, &schema_c, b, baseline, rng).0
             } else {
-                query_loss(&mut tape, &net, &schema_c, b, &dps, 1e4, rng)
+                query_loss(&mut tape, &net, &schema_c, b, &dps, rng)
             };
             tape.backward(loss, &mut grads);
             grads

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use uae_data::Table;
 use uae_estimators::HistogramEstimator;
-use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query, QueryCost};
+use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query};
 use uae_tensor::{Adam, AdamState, GradStore, Optimizer, ParamStore, Tape, TapeWorkspace};
 
 use crate::encoding::VirtualSchema;
@@ -109,6 +109,9 @@ struct DivergenceGuard {
     snapshot: Option<GoodState>,
 }
 
+/// Multiplier applied to the learning rate on every rollback.
+const LR_BACKOFF: f32 = 0.5;
+
 /// Outcome of one optimizer step.
 enum StepOutcome {
     /// No batch contributed a loss (e.g. training an empty table).
@@ -124,6 +127,9 @@ enum StepOutcome {
         clipped: bool,
     },
 }
+
+/// Global gradient-norm bound applied to every training step.
+const GRAD_CLIP: f32 = 8.0;
 
 /// Scale factor bringing a gradient of norm `norm` inside the clip bound,
 /// or `None` when no clipping applies. Non-finite norms never clip: the
@@ -254,11 +260,6 @@ impl Uae {
     /// studies adjust these between training phases (Figure 4).
     pub fn train_config_mut(&mut self) -> &mut TrainConfig {
         &mut self.cfg.train
-    }
-
-    /// Override the number of progressive samples used at estimation time.
-    pub fn set_estimate_samples(&mut self, samples: usize) {
-        self.cfg.estimate_samples = samples.max(1);
     }
 
     /// The configured per-query progressive-sample budget. The serving
@@ -535,18 +536,7 @@ impl Uae {
     /// calls stays bit-identical to one [`Uae::try_estimate_cards`] call
     /// over the same queries.
     pub fn try_estimate_card(&self, query: &Query) -> Result<Estimate, EstimateError> {
-        self.try_estimate_card_with(query, None)
-    }
-
-    /// [`Uae::try_estimate_card`] with an optional per-call progressive-
-    /// sample budget override: a batch of one through
-    /// [`Uae::try_estimate_cards_with`].
-    pub fn try_estimate_card_with(
-        &self,
-        query: &Query,
-        samples_override: Option<usize>,
-    ) -> Result<Estimate, EstimateError> {
-        self.try_estimate_cards_with(slice::from_ref(query), samples_override)
+        self.try_estimate_cards_with(slice::from_ref(query), None)
             .pop()
             .expect("one result per query")
     }
@@ -663,12 +653,6 @@ impl Uae {
     /// the estimate paths'. Takes `&self` because serving does.
     pub fn set_sink(&self, sink: Box<dyn Sink>) {
         self.est.lock().serve.sink = Some(sink);
-    }
-
-    /// Detach the sink, returning it (dropping a
-    /// [`crate::telemetry::JsonlSink`] flushes it).
-    pub fn take_sink(&self) -> Option<Box<dyn Sink>> {
-        self.est.lock().serve.sink.take()
     }
 
     /// Deterministic fault injection for the online-loop drills: poison
@@ -796,7 +780,7 @@ impl Uae {
                     self.guard.bad_streak += 1;
                     self.emit(Event::StepSkipped { epoch: epoch_idx, step: global_step, loss });
                     if tc.max_bad_steps > 0 && self.guard.bad_streak >= tc.max_bad_steps {
-                        self.rollback(tc.lr_backoff);
+                        self.rollback();
                         rollbacks += 1;
                         self.emit(Event::Rollback {
                             epoch: epoch_idx,
@@ -892,7 +876,6 @@ impl Uae {
                         &self.schema,
                         batch,
                         &tc.dps,
-                        tc.qerror_cap,
                         &mut self.rng,
                     );
                     query_value = Some(tape.value(ql).scalar_value());
@@ -917,7 +900,7 @@ impl Uae {
         if !loss_value.is_finite() || !norm.is_finite() {
             return StepOutcome::Skipped { loss: loss_value };
         }
-        let clipped = match clip_scale(norm, tc.grad_clip) {
+        let clipped = match clip_scale(norm, GRAD_CLIP) {
             Some(scale) => {
                 grads.scale(scale);
                 true
@@ -935,14 +918,14 @@ impl Uae {
     }
 
     /// Restore the last known-good weights and optimizer state, then back
-    /// the learning rate off — the escape hatch when successive steps keep
-    /// producing non-finite losses.
-    fn rollback(&mut self, backoff: f32) {
+    /// the learning rate off by [`LR_BACKOFF`] — the escape hatch when
+    /// successive steps keep producing non-finite losses.
+    fn rollback(&mut self) {
         if let Some(snap) = &self.guard.snapshot {
             self.store = snap.store.clone();
             self.opt.restore(snap.adam.clone());
         }
-        let lr = self.cfg.train.lr * backoff;
+        let lr = self.cfg.train.lr * LR_BACKOFF;
         self.cfg.train.lr = lr;
         self.opt.set_lr(lr);
         self.guard.bad_streak = 0;
@@ -1049,17 +1032,7 @@ impl Uae {
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), crate::persist::PersistError> {
-        self.write_checkpoint_file_with(path, None)
-    }
-
-    /// [`Uae::write_checkpoint_file`] with deterministic disk-fault
-    /// injection — claims one write index from `faults`.
-    pub fn write_checkpoint_file_with(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        faults: Option<&crate::persist::DiskFaults>,
-    ) -> Result<(), crate::persist::PersistError> {
-        crate::persist::persist_bytes(path, &self.save_checkpoint(), faults)
+        crate::persist::persist_bytes(path, &self.save_checkpoint(), None)
     }
 
     /// Restore from a file written by [`Uae::write_checkpoint_file`].
@@ -1186,10 +1159,6 @@ impl CardEstimator for Uae {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::Autoregressive
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Expensive
     }
 }
 

@@ -83,7 +83,6 @@
 //! a warm batch of one allocates nothing whatever its seeds.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -344,12 +343,11 @@ fn walk(
         }
         let probs: Option<&Tensor> = (total_rows > 0).then_some(&model.logits);
         // Virgin participants all see the same memoized distribution.
-        let first: Option<Arc<Vec<f32>>> = any_virgin.then(|| raw.first_step_probs(v));
+        let first_row: Option<&[f32]> = any_virgin.then(|| raw.first_step_probs(v));
 
         for &i in round.iter() {
             let st = states[i].as_mut().expect("round member");
             let offset = (offsets[i] != usize::MAX).then_some(offsets[i]);
-            let first_row = first.as_ref().map(|a| a.as_slice());
             advance_query(raw, schema, st, v, probs, offset, first_row, spare, prefix);
             if st.done {
                 results[i] = st.p_hat.iter().sum::<f64>() / s as f64;

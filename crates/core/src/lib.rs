@@ -62,8 +62,8 @@ pub use estimator::{Uae, UaeConfig};
 pub use infer_batch::BatchScratch;
 pub use model::{ModelScratch, ResMade, ResMadeConfig};
 pub use online::{
-    shadow_score, GateConfig, GateDecision, OnlineConfig, OnlineFaultPlan, OnlineTrainer,
-    PoolStats, QueryPool, RoundOutcome, RoundReport, ShadowScore,
+    shadow_score, GateDecision, OnlineConfig, OnlineFaultPlan, OnlineTrainer, PoolStats, QueryPool,
+    RoundOutcome, RoundReport, ShadowScore,
 };
 pub use ordering::ColumnOrder;
 pub use persist::{

@@ -356,7 +356,7 @@ impl ResMade {
             self.logit_slices.iter().map(|&(s, e)| w_out.slice_cols(s, e)).collect();
         let b_out_cols = self.logit_slices.iter().map(|&(s, e)| b_out.slice_cols(s, e)).collect();
 
-        RawModel {
+        let mut raw = RawModel {
             zero_row: Tensor::zeros(1, self.input_width),
             w_in,
             b_in,
@@ -365,7 +365,6 @@ impl ResMade {
             b_out,
             w_out_cols,
             b_out_cols,
-            logit_slices: self.logit_slices.clone(),
             enc: self
                 .enc
                 .iter()
@@ -377,8 +376,17 @@ impl ResMade {
             start_in,
             start_h,
             head_rows,
-            first_step: parking_lot::Mutex::new(std::collections::HashMap::new()),
-        }
+            first_step: Vec::new(),
+        };
+        let h = raw.hidden(&raw.zero_row);
+        raw.first_step = (0..n)
+            .map(|v| {
+                let mut logits = raw.logits_col(&h, v);
+                logits.softmax_rows_in_place();
+                logits.row(0).to_vec()
+            })
+            .collect();
+        raw
     }
 }
 
@@ -438,10 +446,10 @@ impl ModelScratch {
 }
 
 /// Pre-masked weights for tape-free forwards.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RawModel {
     /// The all-wildcard (all-zero) model input row, built once per snapshot
-    /// so round-0 sampling and `first_step_probs` never re-allocate it.
+    /// so round-0 sampling never re-allocates it.
     zero_row: Tensor,
     w_in: Tensor,
     b_in: Tensor,
@@ -453,7 +461,6 @@ pub struct RawModel {
     /// without slicing.
     w_out_cols: Vec<Tensor>,
     b_out_cols: Vec<Tensor>,
-    logit_slices: Vec<(usize, usize)>,
     /// Materialized per-column input encodings (`enc[v].row(code)`).
     enc: Vec<Tensor>,
     /// Packed layout (see [`ResMade::snapshot`]): per input row, the first
@@ -463,36 +470,13 @@ pub struct RawModel {
     start_h: Vec<u32>,
     /// Per virtual column: number of leading hidden rows its head reads.
     head_rows: Vec<usize>,
-    /// Memoized first-step distributions, keyed by virtual column: the
-    /// first constrained column of every query sees the all-wildcard
-    /// (all-zero) input, so its softmaxed logits are identical across all
-    /// sample rows and across queries. Weight changes invalidate this
-    /// implicitly — `ResMade::snapshot` builds a fresh `RawModel` (with an
-    /// empty cache) and the estimator drops its snapshot on every training
+    /// First-step distributions, one per virtual column: the first
+    /// constrained column of every query sees the all-wildcard (all-zero)
+    /// input, so its softmaxed logits are identical across all sample rows
+    /// and across queries. Built with the snapshot, so weight changes
+    /// refresh them — the estimator drops its snapshot on every training
     /// step and weight load.
-    first_step: parking_lot::Mutex<std::collections::HashMap<usize, std::sync::Arc<Vec<f32>>>>,
-}
-
-impl Clone for RawModel {
-    fn clone(&self) -> Self {
-        RawModel {
-            zero_row: self.zero_row.clone(),
-            w_in: self.w_in.clone(),
-            b_in: self.b_in.clone(),
-            blocks: self.blocks.clone(),
-            w_out: self.w_out.clone(),
-            b_out: self.b_out.clone(),
-            w_out_cols: self.w_out_cols.clone(),
-            b_out_cols: self.b_out_cols.clone(),
-            logit_slices: self.logit_slices.clone(),
-            enc: self.enc.clone(),
-            start_in: self.start_in.clone(),
-            start_h: self.start_h.clone(),
-            head_rows: self.head_rows.clone(),
-            // The memo is derived state; a fresh clone recomputes on demand.
-            first_step: parking_lot::Mutex::new(std::collections::HashMap::new()),
-        }
-    }
+    first_step: Vec<Vec<f32>>,
 }
 
 #[derive(Debug, Clone)]
@@ -620,18 +604,9 @@ impl RawModel {
     /// input — the distribution every query sees at its *first* constrained
     /// column, where nothing has been sampled yet and the model input is
     /// all zeros. The result is row-constant across any sample batch, so
-    /// it is computed once per snapshot and memoized; repeated calls return
-    /// the same `Arc` until the estimator takes a fresh snapshot.
-    pub fn first_step_probs(&self, v: usize) -> std::sync::Arc<Vec<f32>> {
-        if let Some(p) = self.first_step.lock().get(&v) {
-            return p.clone();
-        }
-        let h = self.hidden(&self.zero_row);
-        let mut logits = self.logits_col(&h, v);
-        logits.softmax_rows_in_place();
-        let probs = std::sync::Arc::new(logits.row(0).to_vec());
-        self.first_step.lock().insert(v, probs.clone());
-        probs
+    /// [`ResMade::snapshot`] computes it once per column.
+    pub fn first_step_probs(&self, v: usize) -> &[f32] {
+        &self.first_step[v]
     }
 
     /// Full logits (all columns).

@@ -14,16 +14,17 @@
 //!   **private branch** of the live model (the live snapshot itself is
 //!   never trained — serving traffic keeps reading it), producing a
 //!   candidate per round;
-//! * the **shadow gate** ([`shadow_score`] + [`GateConfig`]) — scores
-//!   candidate and live model on the newest labeled queries (held out
-//!   from this round's training) and only promotes a candidate whose
-//!   median and p95 q-error do not regress beyond configured margins.
-//!   A candidate with non-finite weights ([`Uae::weights_finite`]) is
-//!   rejected outright — the serving cascade's uniform-softmax
-//!   sanitization keeps a diverged model *answering*, so q-error
-//!   margins alone cannot be trusted to catch divergence.
+//! * the **shadow gate** ([`shadow_score`] and a [`GateDecision`]) —
+//!   scores candidate and live model on the newest labeled queries (held
+//!   out from this round's training, at least 8 of them) and only
+//!   promotes a candidate whose median q-error stays within 1.1× and
+//!   whose p95 stays within 1.25× the live model's. A candidate with
+//!   non-finite weights ([`Uae::weights_finite`]) or any baseline
+//!   fallback is rejected outright — the serving cascade's
+//!   uniform-softmax sanitization keeps a diverged model *answering*, so
+//!   q-error margins alone cannot be trusted to catch divergence.
 //!
-//! Promotions publish a versioned `UAEC` checkpoint (PR 2's bit-exact
+//! Promotions publish a versioned `UAEC` checkpoint (the bit-exact
 //! trainer snapshot), and the round after a promotion is a **probation
 //! watch**: once enough post-promotion labels arrive, the freshly
 //! promoted model is re-scored against the version it replaced and
@@ -34,7 +35,9 @@
 //! the same style as the serving crate's micro-batcher — so the whole
 //! promote/reject/rollback path replays deterministically under a mock
 //! clock. The thread that drives it against a live registry lives in
-//! `uae-server`.
+//! `uae-server`; it numbers new versions on from the tenant's published
+//! one ([`OnlineTrainer::continue_from`]), so a learner started on a
+//! recovered registry extends the recovered lineage.
 
 use std::collections::{HashSet, VecDeque};
 use std::path::PathBuf;
@@ -207,29 +210,6 @@ impl QueryPool {
     }
 }
 
-/// Shadow-gate thresholds: how much worse than the live model a
-/// candidate may score and still be promoted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateConfig {
-    /// Promote only if `candidate_median <= live_median * median_margin`.
-    pub median_margin: f64,
-    /// Promote only if `candidate_p95 <= live_p95 * p95_margin`.
-    pub p95_margin: f64,
-    /// Minimum holdout size for any verdict; fewer labels means the
-    /// round cannot be judged ([`GateDecision::Insufficient`]).
-    pub min_eval: usize,
-    /// Reject a candidate whose shadow clone needed any baseline
-    /// fallback. Candidates with non-finite weights are rejected
-    /// unconditionally regardless of this flag.
-    pub reject_on_fallback: bool,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig { median_margin: 1.1, p95_margin: 1.25, min_eval: 8, reject_on_fallback: true }
-    }
-}
-
 /// One model's shadow-eval result on a holdout window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShadowScore {
@@ -276,9 +256,9 @@ pub enum GateDecision {
     /// The candidate has non-finite weights, or its shadow clone needed
     /// baseline fallbacks.
     Unhealthy,
-    /// Median q-error regressed beyond [`GateConfig::median_margin`].
+    /// Median q-error regressed beyond 1.1× the reference model's.
     MedianRegressed,
-    /// P95 q-error regressed beyond [`GateConfig::p95_margin`].
+    /// P95 q-error regressed beyond 1.25× the reference model's.
     P95Regressed,
 }
 
@@ -301,31 +281,33 @@ impl std::fmt::Display for GateDecision {
     }
 }
 
-impl GateConfig {
-    /// Judge a candidate's shadow score against the live model's on the
-    /// same `evaluated`-label holdout. A broken *live* model (infinite
-    /// quantiles) lets any healthy candidate through: `∞ > ∞ × margin`
-    /// is false, which is exactly the recovery path.
-    pub fn decide(
-        &self,
-        candidate: &ShadowScore,
-        live: &ShadowScore,
-        evaluated: usize,
-    ) -> GateDecision {
-        if evaluated < self.min_eval {
-            return GateDecision::Insufficient;
-        }
-        if !candidate.weights_finite || (self.reject_on_fallback && candidate.fallbacks > 0) {
-            return GateDecision::Unhealthy;
-        }
-        if candidate.summary.median > live.summary.median * self.median_margin {
-            return GateDecision::MedianRegressed;
-        }
-        if candidate.summary.p95 > live.summary.p95 * self.p95_margin {
-            return GateDecision::P95Regressed;
-        }
-        GateDecision::Promote
+/// Minimum holdout size for any gate verdict; fewer labels means the
+/// round cannot be judged ([`GateDecision::Insufficient`]).
+const MIN_EVAL: usize = 8;
+/// Promote only if `candidate_median <= live_median * MEDIAN_MARGIN`.
+const MEDIAN_MARGIN: f64 = 1.1;
+/// Promote only if `candidate_p95 <= live_p95 * P95_MARGIN`.
+const P95_MARGIN: f64 = 1.25;
+
+/// Judge a candidate's shadow score against the live model's on the
+/// same `evaluated`-label holdout. A candidate with non-finite weights or
+/// any baseline fallback is unhealthy. A broken *live* model (infinite
+/// quantiles) lets any healthy candidate through: `∞ > ∞ × margin` is
+/// false, which is exactly the recovery path.
+fn decide(candidate: &ShadowScore, live: &ShadowScore, evaluated: usize) -> GateDecision {
+    if evaluated < MIN_EVAL {
+        return GateDecision::Insufficient;
     }
+    if !candidate.weights_finite || candidate.fallbacks > 0 {
+        return GateDecision::Unhealthy;
+    }
+    if candidate.summary.median > live.summary.median * MEDIAN_MARGIN {
+        return GateDecision::MedianRegressed;
+    }
+    if candidate.summary.p95 > live.summary.p95 * P95_MARGIN {
+        return GateDecision::P95Regressed;
+    }
+    GateDecision::Promote
 }
 
 /// Deterministic fault plan for the trainer: rounds whose *candidate*
@@ -358,8 +340,6 @@ pub struct OnlineConfig {
     pub query_epochs: usize,
     /// Unsupervised epochs per round when drift rows were staged.
     pub data_epochs: usize,
-    /// Promotion thresholds.
-    pub gate: GateConfig,
     /// Directory receiving one `{label}_v{N}.uaec` checkpoint per
     /// published version plus the write-ahead promotion journal
     /// (`None` keeps checkpoints in memory only and disables the WAL).
@@ -367,10 +347,6 @@ pub struct OnlineConfig {
     /// Tenant label: names the checkpoint files and is carried by every
     /// journal record, tying promotions to a manifest tenant.
     pub label: String,
-    /// Version the trainer starts counting from. Cold-start recovery
-    /// seeds this with the recovered version so new promotions continue
-    /// the surviving lineage instead of re-issuing old version numbers.
-    pub start_version: u64,
     /// Deterministic fault injection (inert by default).
     pub fault: OnlineFaultPlan,
     /// Deterministic disk faults, shared (same write counter) with every
@@ -385,10 +361,8 @@ impl Default for OnlineConfig {
             holdout: 16,
             query_epochs: 4,
             data_epochs: 1,
-            gate: GateConfig::default(),
             checkpoint_dir: None,
             label: "uae".to_owned(),
-            start_version: 0,
             fault: OnlineFaultPlan::default(),
             disk: None,
         }
@@ -518,18 +492,16 @@ pub struct OnlineTrainer {
 }
 
 impl OnlineTrainer {
-    /// A trainer branched off `live` (at `cfg.start_version`, 0 by
-    /// default). The branch's RNG streams are reseeded deterministically
-    /// by [`Uae::clone`], so two trainers built from the same live model
-    /// replay identically.
+    /// A trainer branched off `live` at version 0. The branch's RNG
+    /// streams are reseeded deterministically by [`Uae::clone`], so two
+    /// trainers built from the same live model replay identically.
     pub fn new(live: &Uae, cfg: OnlineConfig) -> Self {
         let branch = live.clone();
         let last_good = branch.save_checkpoint();
-        let version = cfg.start_version;
         OnlineTrainer {
             branch,
             cfg,
-            version,
+            version: 0,
             round: 0,
             last_good,
             watch: None,
@@ -542,6 +514,15 @@ impl OnlineTrainer {
     /// live model; every promotion *and* rollback increments it).
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Continue a published lineage: the live model is `version`, so the
+    /// next promotion or rollback publishes `version + 1` and never
+    /// re-issues (or overwrites the checkpoint of) an earlier version.
+    /// The `uae-server` learner thread seeds this from the tenant's
+    /// registry version, which recovery restores.
+    pub fn continue_from(&mut self, version: u64) {
+        self.version = version;
     }
 
     /// Rounds consumed so far.
@@ -558,12 +539,6 @@ impl OnlineTrainer {
     /// [`Event`]s.
     pub fn set_sink(&mut self, sink: Box<dyn Sink>) {
         self.sink = Some(sink);
-    }
-
-    /// Detach the sink, returning it (dropping a
-    /// [`crate::telemetry::JsonlSink`] flushes it).
-    pub fn take_sink(&mut self) -> Option<Box<dyn Sink>> {
-        self.sink.take()
     }
 
     fn emit(&mut self, event: Event) {
@@ -620,7 +595,7 @@ impl OnlineTrainer {
         let holdout = pool.holdout(self.cfg.holdout);
         let cand_score = shadow_score(&candidate, &holdout);
         let live_score = shadow_score(live, &holdout);
-        let decision = self.cfg.gate.decide(&cand_score, &live_score, holdout.len());
+        let decision = decide(&cand_score, &live_score, holdout.len());
         self.emit(Event::OnlineGated {
             round,
             t_ns: now_ns,
@@ -788,16 +763,16 @@ impl OnlineTrainer {
         // Judge probation only on labels that arrived after the
         // promotion, and only once there are enough of them.
         let arrived = pool.stats().pushed.saturating_sub(watch.pushed_mark);
-        if arrived < self.cfg.gate.min_eval as u64 {
+        if arrived < MIN_EVAL as u64 {
             return None;
         }
         let holdout = pool.holdout((arrived as usize).min(self.cfg.holdout.max(1)));
-        if holdout.len() < self.cfg.gate.min_eval {
+        if holdout.len() < MIN_EVAL {
             return None;
         }
         let live_score = shadow_score(live, &holdout);
         let prior_score = shadow_score(&watch.prior, &holdout);
-        let verdict = self.cfg.gate.decide(&live_score, &prior_score, holdout.len());
+        let verdict = decide(&live_score, &prior_score, holdout.len());
         let watch = self.watch.take().expect("watch present");
         if verdict == GateDecision::Promote {
             // The promotion held up in the wild; probation ends.
@@ -905,25 +880,24 @@ mod tests {
 
     #[test]
     fn gate_decides_in_priority_order() {
-        let gate = GateConfig { min_eval: 4, ..GateConfig::default() };
         let score = |median: f64, p95: f64, fallbacks: u64| ShadowScore {
             summary: ErrorSummary { mean: median, median, p95, max: p95, count: 8 },
             fallbacks,
             weights_finite: true,
         };
         let live = score(2.0, 8.0, 0);
-        assert_eq!(gate.decide(&score(2.0, 8.0, 0), &live, 2), GateDecision::Insufficient);
-        assert_eq!(gate.decide(&score(1.0, 1.0, 3), &live, 8), GateDecision::Unhealthy);
+        assert_eq!(decide(&score(2.0, 8.0, 0), &live, 2), GateDecision::Insufficient);
+        assert_eq!(decide(&score(1.0, 1.0, 3), &live, 8), GateDecision::Unhealthy);
         // Non-finite weights fail the gate even with perfect q-errors.
         let nan_weights = ShadowScore { weights_finite: false, ..score(1.0, 1.0, 0) };
-        assert_eq!(gate.decide(&nan_weights, &live, 8), GateDecision::Unhealthy);
-        assert_eq!(gate.decide(&score(3.0, 8.0, 0), &live, 8), GateDecision::MedianRegressed);
-        assert_eq!(gate.decide(&score(2.0, 11.0, 0), &live, 8), GateDecision::P95Regressed);
-        assert_eq!(gate.decide(&score(2.1, 9.9, 0), &live, 8), GateDecision::Promote);
+        assert_eq!(decide(&nan_weights, &live, 8), GateDecision::Unhealthy);
+        assert_eq!(decide(&score(3.0, 8.0, 0), &live, 8), GateDecision::MedianRegressed);
+        assert_eq!(decide(&score(2.0, 11.0, 0), &live, 8), GateDecision::P95Regressed);
+        assert_eq!(decide(&score(2.1, 9.9, 0), &live, 8), GateDecision::Promote);
         // A broken live model (∞ quantiles) lets a healthy candidate in.
         let broken = score(f64::INFINITY, f64::INFINITY, 0);
-        assert_eq!(gate.decide(&score(5.0, 50.0, 0), &broken, 8), GateDecision::Promote);
+        assert_eq!(decide(&score(5.0, 50.0, 0), &broken, 8), GateDecision::Promote);
         // …but a broken candidate never beats a healthy live model.
-        assert_eq!(gate.decide(&broken, &live, 8), GateDecision::MedianRegressed);
+        assert_eq!(decide(&broken, &live, 8), GateDecision::MedianRegressed);
     }
 }

@@ -13,8 +13,6 @@
 //! (structure, shapes, checksum), then commit — a rejected blob never
 //! leaves partially loaded state behind.
 
-use std::path::Path;
-
 use uae_tensor::{ParamStore, Tensor};
 
 use crate::telemetry::TrainStats;
@@ -353,19 +351,6 @@ pub fn load_checkpoint(bytes: &[u8]) -> Result<CheckpointState, LoadError> {
     Ok(CheckpointState { weights, adam_t, adam_m, adam_v, lr, rng, est_rng, stats })
 }
 
-/// Write `bytes` to `path` atomically: write + fsync a sibling temp file,
-/// rename over the destination, fsync the parent directory. A crash
-/// mid-write leaves either the old checkpoint or none — never a truncated
-/// one. Thin `io::Result` wrapper over [`crate::persist::persist_bytes`];
-/// new code should call that directly for the typed error and fault
-/// injection.
-pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    crate::persist::persist_bytes(path, bytes, None).map_err(|e| match e {
-        crate::persist::PersistError::Io { source, .. } => source,
-        other => unreachable!("no faults injected: {other}"),
-    })
-}
-
 /// Sequential little-endian reader over a sealed-blob payload. Public so
 /// sibling crates parsing their own sealed formats (the `uae-server`
 /// tenant manifest) reuse the same bounds-checked primitives.
@@ -638,22 +623,5 @@ mod tests {
                 Err(_) => prop_assert_eq!(save_params(&target), sealed),
             }
         }
-    }
-
-    #[test]
-    fn atomic_write_replaces_and_leaves_no_temp() {
-        let dir = std::env::temp_dir().join(format!("uae_ck_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.uaec");
-        write_atomic(&path, b"first").unwrap();
-        write_atomic(&path, b"second").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"second");
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "temp file must not survive the rename");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -186,14 +186,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Whether the plan injects nothing.
-    pub fn is_inert(&self) -> bool {
-        self.nan_once.is_empty()
-            && self.nan_always.is_empty()
-            && self.panic_queries.is_empty()
-            && self.corrupt_checkpoint.is_none()
-    }
-
     /// Whether the attempt (`0` = first, `1` = retry) at serving index
     /// `index` must report NaN.
     pub fn nan_hits(&self, index: u64, attempt: u32) -> bool {
@@ -288,8 +280,6 @@ mod tests {
         assert!(plan.nan_hits(3, 0) && !plan.nan_hits(3, 1));
         assert!(plan.nan_hits(5, 0) && plan.nan_hits(5, 1));
         assert!(plan.panics(7) && !plan.panics(3));
-        assert!(!plan.is_inert());
-        assert!(FaultPlan::default().is_inert());
     }
 
     #[test]

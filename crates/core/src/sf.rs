@@ -26,7 +26,7 @@ use uae_tensor::{NodeId, Tape, Tensor};
 
 use crate::encoding::VirtualSchema;
 use crate::model::ResMade;
-use crate::train::TrainQuery;
+use crate::train::{TrainQuery, QERROR_CAP};
 use crate::vquery::{StepRegion, VirtualQuery};
 
 /// One sampled progressive path for one query.
@@ -125,14 +125,12 @@ impl SfBaseline {
 /// with the usual backward pass yields the Eq. 7 gradient estimate.
 ///
 /// Returns `(surrogate loss node, mean observed q-error)`.
-#[allow(clippy::too_many_arguments)]
 pub fn score_function_loss(
     tape: &mut Tape<'_>,
     model: &ResMade,
     store: &uae_tensor::ParamStore,
     schema: &VirtualSchema,
     batch: &[TrainQuery],
-    qerror_cap: f32,
     baseline: &mut SfBaseline,
     rng: &mut impl RngExt,
 ) -> (NodeId, f64) {
@@ -195,7 +193,7 @@ pub fn score_function_loss(
         let r2 = tape.div(truth2, p_hat);
         let q = tape.maximum(r1, r2);
         let neg = tape.mul_scalar(q, -1.0);
-        let capped_neg = tape.clamp_min(neg, -qerror_cap);
+        let capped_neg = tape.clamp_min(neg, -QERROR_CAP);
         let loss_term = tape.mul_scalar(capped_neg, -1.0);
 
         let loss_value = tape.value(loss_term).scalar_value() as f64;
@@ -267,7 +265,6 @@ mod tests {
                     &store,
                     &schema,
                     std::slice::from_ref(&tq),
-                    1e4,
                     &mut baseline,
                     &mut rng,
                 );
@@ -304,16 +301,8 @@ mod tests {
         let mut baseline = SfBaseline::default();
         let mut grads = GradStore::zeros_like(&store);
         let mut tape = Tape::new(&store);
-        let (loss, _) = score_function_loss(
-            &mut tape,
-            &model,
-            &store,
-            &schema,
-            &[tq],
-            1e4,
-            &mut baseline,
-            &mut rng,
-        );
+        let (loss, _) =
+            score_function_loss(&mut tape, &model, &store, &schema, &[tq], &mut baseline, &mut rng);
         tape.backward(loss, &mut grads);
         let nonzero =
             store.ids().filter(|&id| grads.get(id).data().iter().any(|&g| g != 0.0)).count();

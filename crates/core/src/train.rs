@@ -28,11 +28,6 @@ pub struct TrainConfig {
     pub dps: DpsConfig,
     /// Probability of wildcarding a column during data training (§4.6).
     pub wildcard_prob: f64,
-    /// Global gradient-norm clip (0 disables).
-    pub grad_clip: f32,
-    /// Cap applied to per-query Q-error inside the loss, bounding the
-    /// gradient spikes of barely-trained models.
-    pub qerror_cap: f32,
     /// RNG seed for batching, wildcard dropout and Gumbel noise.
     pub seed: u64,
     /// Consecutive non-finite steps tolerated before the trainer rolls the
@@ -40,8 +35,6 @@ pub struct TrainConfig {
     /// rate off (0 disables rollback; bad steps are still skipped so
     /// non-finite gradients can never reach the weights).
     pub max_bad_steps: u32,
-    /// Multiplier applied to the learning rate on every rollback.
-    pub lr_backoff: f32,
     /// Fault injection for tests and chaos drills: global step cursors
     /// (see [`crate::telemetry::TrainStats::steps`]) whose loss is forced
     /// non-finite, exercising the skip/rollback path deterministically.
@@ -57,11 +50,8 @@ impl Default for TrainConfig {
             lambda: 1e-4,
             dps: DpsConfig { tau: 1.0, samples: 16 },
             wildcard_prob: 0.25,
-            grad_clip: 8.0,
-            qerror_cap: 1e4,
             seed: 0x0ae5eed,
             max_bad_steps: 3,
-            lr_backoff: 0.5,
             inject_nan_steps: Vec::new(),
         }
     }
@@ -132,16 +122,19 @@ pub fn data_loss(
     tape.mul_scalar(mean, -1.0)
 }
 
+/// Cap applied to per-query Q-error inside the query losses, bounding the
+/// gradient spikes of barely-trained models.
+pub(crate) const QERROR_CAP: f32 = 1e4;
+
 /// Build the supervised query loss (Eq. 5 with Q-error as Discrepancy)
 /// through differentiable progressive sampling, capping individual
-/// Q-errors at `qerror_cap`.
+/// Q-errors at `QERROR_CAP`.
 pub fn query_loss(
     tape: &mut Tape<'_>,
     model: &ResMade,
     schema: &VirtualSchema,
     batch: &[TrainQuery],
     dps: &DpsConfig,
-    qerror_cap: f32,
     rng: &mut impl RngExt,
 ) -> NodeId {
     assert!(!batch.is_empty(), "query loss over an empty batch");
@@ -157,7 +150,7 @@ pub fn query_loss(
     let r1 = tape.div(sel, t1);
     let r2 = tape.div(t2, sel);
     let q = tape.maximum(r1, r2);
-    let q = clamp_max(tape, q, qerror_cap);
+    let q = clamp_max(tape, q, QERROR_CAP);
     tape.mean_all(q)
 }
 
@@ -235,15 +228,8 @@ mod tests {
         for _ in 0..80 {
             let mut grads = GradStore::zeros_like(&store);
             let mut tape = Tape::new(&store);
-            let loss = query_loss(
-                &mut tape,
-                &model,
-                &schema,
-                std::slice::from_ref(&tq),
-                &dps,
-                1e4,
-                &mut rng,
-            );
+            let loss =
+                query_loss(&mut tape, &model, &schema, std::slice::from_ref(&tq), &dps, &mut rng);
             losses.push(tape.value(loss).scalar_value());
             tape.backward(loss, &mut grads);
             opt.step(&mut store, &grads);

@@ -6,7 +6,6 @@
 //! invisible too: every shard count returns the same bits.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -138,10 +137,10 @@ fn batched_sampler_matches_sequential_with_weighted_steps() {
     assert!(err <= 1e-9, "weighted batch diverges: rel err {err}");
 }
 
-/// The first-step distribution is memoized per snapshot: repeated reads
-/// return the same allocation, and a fresh snapshot recomputes it.
+/// The snapshot's first-step rows are, bit for bit, the softmaxed logits
+/// of an all-wildcard forward through the same snapshot.
 #[test]
-fn first_step_cache_is_shared_within_a_snapshot() {
+fn first_step_probs_match_the_all_wildcard_forward() {
     let t = census_like(300, 23);
     let uae = Uae::new(&t, quick_cfg());
     let schema = uae.schema().clone();
@@ -149,16 +148,13 @@ fn first_step_cache_is_shared_within_a_snapshot() {
     let model =
         ResMade::new(&mut store, &schema, &ResMadeConfig { hidden: 16, blocks: 1, seed: 9 });
     let raw = model.snapshot(&store);
-    let a = raw.first_step_probs(0);
-    let b = raw.first_step_probs(0);
-    assert!(Arc::ptr_eq(&a, &b), "memo must be computed once per snapshot");
-    let other = raw.first_step_probs(1);
-    assert!(!Arc::ptr_eq(&a, &other));
-    // A fresh snapshot starts with an empty memo.
-    let raw2 = model.snapshot(&store);
-    let c = raw2.first_step_probs(0);
-    assert!(!Arc::ptr_eq(&a, &c));
-    assert_eq!(*a, *c, "same weights, same distribution");
+    let h = raw.hidden(raw.zero_row());
+    for v in 0..schema.num_virtual() {
+        let mut logits = raw.logits_col(&h, v);
+        logits.softmax_rows_in_place();
+        let bits = |row: &[f32]| row.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(raw.first_step_probs(v)), bits(logits.row(0)), "column {v}");
+    }
 }
 
 /// Training between batched estimates must refresh the first-step memo:

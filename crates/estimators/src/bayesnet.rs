@@ -8,7 +8,7 @@
 //! when intersecting regions (the usual histogram assumption).
 
 use uae_data::Table;
-use uae_query::{CardEstimator, EstimatorFamily, Query, QueryCost, QueryRegion, Region};
+use uae_query::{CardEstimator, EstimatorFamily, Query, QueryRegion, Region};
 
 /// Chow–Liu tree estimator.
 #[derive(Debug)]
@@ -264,10 +264,6 @@ impl CardEstimator for BayesNetEstimator {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::BayesNet
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Cheap
     }
 }
 

@@ -3,7 +3,7 @@
 //! "PostgreSQL-like" baseline of the optimizer study, Figure 6).
 
 use uae_data::{Column, Table};
-use uae_query::{CardEstimator, EstimatorFamily, Query, QueryCost, QueryRegion, Region};
+use uae_query::{CardEstimator, EstimatorFamily, Query, QueryRegion, Region};
 
 /// One column's equi-depth histogram over dictionary codes.
 #[derive(Debug, Clone)]
@@ -120,10 +120,6 @@ impl CardEstimator for HistogramEstimator {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::Histogram
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Trivial
     }
 }
 

@@ -4,9 +4,7 @@
 //! optimizes the bandwidths against a labeled workload.
 
 use uae_data::Table;
-use uae_query::{
-    CardEstimator, EstimatorFamily, LabeledQuery, Query, QueryCost, QueryRegion, Region,
-};
+use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query, QueryRegion, Region};
 
 /// Error function approximation (Abramowitz & Stegun 7.1.26, |ε| ≤ 1.5e-7).
 pub fn erf(x: f64) -> f64 {
@@ -161,10 +159,6 @@ impl CardEstimator for KdeEstimator {
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::Kde
     }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Moderate
-    }
 }
 
 /// Feedback-KDE: starts from [`KdeEstimator`] and refines the per-column
@@ -274,10 +268,6 @@ impl CardEstimator for FeedbackKdeEstimator {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::Kde
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Moderate
     }
 }
 

@@ -3,7 +3,7 @@
 //! via the normal equations and a Cholesky factorization.
 
 use uae_data::Table;
-use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query, QueryCost};
+use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query};
 
 use crate::features::QueryFeaturizer;
 
@@ -117,10 +117,6 @@ impl CardEstimator for LinearRegressionEstimator {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::Regression
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Trivial
     }
 }
 

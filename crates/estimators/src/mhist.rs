@@ -5,7 +5,7 @@
 //! frequency gap; estimation assumes uniformity inside buckets.
 
 use uae_data::Table;
-use uae_query::{CardEstimator, EstimatorFamily, Query, QueryCost, QueryRegion};
+use uae_query::{CardEstimator, EstimatorFamily, Query, QueryRegion};
 
 /// One axis-aligned bucket.
 #[derive(Debug, Clone)]
@@ -173,10 +173,6 @@ impl CardEstimator for MhistEstimator {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::MultiDimHistogram
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Cheap
     }
 }
 

@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use uae_data::Table;
-use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query, QueryCost};
+use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query};
 use uae_tensor::rng::he_uniform;
 use uae_tensor::{Adam, GradStore, Optimizer, ParamId, ParamStore, Tape, Tensor};
 
@@ -205,10 +205,6 @@ impl CardEstimator for MscnEstimator {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::Regression
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Moderate
     }
 }
 

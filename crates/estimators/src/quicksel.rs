@@ -6,7 +6,7 @@
 //! training query's probability matches its observed selectivity.
 
 use uae_data::Table;
-use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query, QueryCost, QueryRegion};
+use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query, QueryRegion};
 
 /// QuickSel-style estimator.
 #[derive(Debug)]
@@ -157,10 +157,6 @@ impl CardEstimator for QuickSelEstimator {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::Mixture
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Cheap
     }
 }
 

@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use uae_data::Table;
-use uae_query::{CardEstimator, EstimatorFamily, Query, QueryCost, QueryRegion};
+use uae_query::{CardEstimator, EstimatorFamily, Query, QueryRegion};
 
 /// Uniform-sample estimator.
 #[derive(Debug)]
@@ -72,10 +72,6 @@ impl CardEstimator for SamplingEstimator {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::Sampling
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Moderate
     }
 
     fn size_bytes(&self) -> usize {

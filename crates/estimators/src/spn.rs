@@ -16,7 +16,7 @@
 //! attributes are strongly correlated (DMV).
 
 use uae_data::Table;
-use uae_query::{CardEstimator, EstimatorFamily, Query, QueryCost, QueryRegion, Region};
+use uae_query::{CardEstimator, EstimatorFamily, Query, QueryRegion, Region};
 
 /// SPN hyper-parameters.
 #[derive(Debug, Clone)]
@@ -331,10 +331,6 @@ impl CardEstimator for SpnEstimator {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::Spn
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Cheap
     }
 }
 

@@ -1,6 +1,6 @@
 //! STHoles (Bruno, Chaudhuri & Gravano, SIGMOD 2001) — the classic
 //! workload-aware multidimensional histogram, one of the baselines the
-//! paper ran ("we also compared with STHoles [12]…").
+//! paper ran ("we also compared with STHoles \[12\]…").
 //!
 //! The histogram is a tree of nested axis-aligned buckets: each query's
 //! feedback (the true row count inside every intersected bucket) "drills a
@@ -12,7 +12,7 @@
 //! original system's scan instrumentation.
 
 use uae_data::Table;
-use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query, QueryCost, QueryRegion};
+use uae_query::{CardEstimator, EstimatorFamily, LabeledQuery, Query, QueryRegion};
 
 /// Axis-aligned box over dictionary codes, `[lo, hi)` per column.
 type BBox = Vec<(u32, u32)>;
@@ -288,10 +288,6 @@ impl CardEstimator for StHolesEstimator {
 
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::WorkloadHistogram
-    }
-
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Cheap
     }
 }
 

@@ -52,51 +52,10 @@ impl JoinUae {
         &self.uae
     }
 
-    /// Mutable access to the underlying estimator (e.g. to change the
-    /// progressive-sample budget between benchmark sweeps).
+    /// Mutable access to the underlying estimator (e.g. to attach a
+    /// metrics sink before training).
     pub fn uae_mut(&mut self) -> &mut Uae {
         &mut self.uae
-    }
-
-    /// Attach an event sink (per-epoch metrics, divergence events,
-    /// serving events) to the underlying estimator.
-    pub fn set_sink(&self, sink: Box<dyn uae_core::Sink>) {
-        self.uae.set_sink(sink);
-    }
-
-    /// Serialize the full trainer state (`UAEC`) of the underlying
-    /// estimator; resuming a long hybrid join training run continues
-    /// bit-exactly.
-    pub fn save_checkpoint(&self) -> Vec<u8> {
-        self.uae.save_checkpoint()
-    }
-
-    /// Restore a checkpoint produced by [`JoinUae::save_checkpoint`] on a
-    /// model built over the identical join sample and configuration.
-    pub fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), uae_core::LoadError> {
-        self.uae.load_checkpoint(bytes)
-    }
-
-    /// Atomically persist a checkpoint file (temp write + fsync + rename
-    /// + parent-directory fsync).
-    pub fn write_checkpoint_file(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), uae_core::PersistError> {
-        self.uae.write_checkpoint_file(path)
-    }
-
-    /// Restore from a file written by [`JoinUae::write_checkpoint_file`].
-    pub fn load_checkpoint_file(
-        &mut self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), uae_core::CheckpointError> {
-        self.uae.load_checkpoint_file(path)
-    }
-
-    /// Cumulative training counters of the underlying estimator.
-    pub fn train_stats(&self) -> &uae_core::TrainStats {
-        self.uae.train_stats()
     }
 
     /// Unsupervised training on the join sample (NeuroCard).

@@ -63,21 +63,6 @@ impl EstimatorFamily {
     }
 }
 
-/// Coarse per-query inference cost class — the routing policy's cost
-/// hook. Classes compare by `Ord`: `Trivial < Cheap < Moderate <
-/// Expensive`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum QueryCost {
-    /// O(filters) arithmetic — per-column histogram lookups.
-    Trivial,
-    /// Small model traversal — SPN, BayesNet, mixture evaluation.
-    Cheap,
-    /// Sample scans or shallow network forward passes.
-    Moderate,
-    /// Progressive sampling through a deep autoregressive model.
-    Expensive,
-}
-
 /// A trained cardinality estimator.
 ///
 /// Object-safe and `Send + Sync` so heterogeneous fleets can be shared
@@ -117,40 +102,6 @@ pub trait CardEstimator: Send + Sync {
     /// routing and telemetry).
     fn family(&self) -> EstimatorFamily {
         EstimatorFamily::Other
-    }
-
-    /// Coarse per-query inference cost (cost hook for routing).
-    fn cost_class(&self) -> QueryCost {
-        QueryCost::Moderate
-    }
-}
-
-/// A `dyn`-compatible borrow: `&dyn CardEstimator` works anywhere a
-/// concrete estimator does.
-impl CardEstimator for &dyn CardEstimator {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn num_rows(&self) -> f64 {
-        (**self).num_rows()
-    }
-    fn estimate_selectivity(&self, query: &Query) -> f64 {
-        (**self).estimate_selectivity(query)
-    }
-    fn estimate_card(&self, query: &Query) -> f64 {
-        (**self).estimate_card(query)
-    }
-    fn estimate_cards(&self, queries: &[Query]) -> Vec<f64> {
-        (**self).estimate_cards(queries)
-    }
-    fn size_bytes(&self) -> usize {
-        (**self).size_bytes()
-    }
-    fn family(&self) -> EstimatorFamily {
-        (**self).family()
-    }
-    fn cost_class(&self) -> QueryCost {
-        (**self).cost_class()
     }
 }
 
@@ -241,7 +192,6 @@ mod tests {
     #[test]
     fn family_labels_are_stable() {
         assert_eq!(EstimatorFamily::Autoregressive.label(), "autoregressive");
-        assert!(QueryCost::Trivial < QueryCost::Expensive);
     }
 
     #[test]

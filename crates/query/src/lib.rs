@@ -21,7 +21,7 @@ pub mod region;
 pub mod report;
 pub mod workload;
 
-pub use estimator::{evaluate, CardEstimator, EstimatorFamily, Evaluation, QueryCost};
+pub use estimator::{evaluate, CardEstimator, EstimatorFamily, Evaluation};
 pub use executor::{label_queries, Executor, LabeledQuery};
 pub use metrics::{q_error, ErrorSummary};
 pub use parse::{parse_disjunction, parse_query};

@@ -69,9 +69,12 @@ impl OnlineLearner {
     /// one trainer round over `pool` against the tenant's current live
     /// model and publish any promotion or rollback through `registry`.
     ///
-    /// The tenant must already be registered; rounds against a tenant
-    /// that has since been removed publish nothing (the loop keeps
-    /// running — registration is registry-lifetime stable anyway).
+    /// The tenant must already be registered: the trainer continues from
+    /// its published version, so promotions after a recovery extend the
+    /// recovered lineage instead of re-issuing old version numbers.
+    /// Rounds against a tenant that has since been removed publish
+    /// nothing (the loop keeps running — registration is
+    /// registry-lifetime stable anyway).
     pub fn start(
         registry: Arc<Registry>,
         tenant: impl Into<String>,
@@ -80,6 +83,9 @@ impl OnlineLearner {
         poll: Duration,
     ) -> OnlineLearner {
         let tenant = tenant.into();
+        if let Some(t) = registry.get(&tenant) {
+            trainer.continue_from(t.version());
+        }
         let shared = Arc::new(LearnerShared {
             stop: AtomicBool::new(false),
             stats: parking_lot::Mutex::new(LearnerStats::default()),

@@ -239,8 +239,7 @@ struct PersistHandle {
 #[derive(Default)]
 pub struct Registry {
     tenants: RwLock<HashMap<String, Arc<Tenant>>>,
-    /// Lane-indexed view (registration order), for executors that key
-    /// batches by lane.
+    /// Tenants in registration order: a tenant's index is its lane.
     by_lane: RwLock<Vec<Arc<Tenant>>>,
     /// Bumped on every model publication (swap or re-register). The
     /// serving front-end watches this to reset its rolling latency
@@ -393,11 +392,6 @@ impl Registry {
         self.tenants.read().get(name).cloned()
     }
 
-    /// Look a tenant up by lane index.
-    pub fn by_lane(&self, lane: usize) -> Option<Arc<Tenant>> {
-        self.by_lane.read().get(lane).cloned()
-    }
-
     /// Number of registered tenants.
     pub fn len(&self) -> usize {
         self.by_lane.read().len()
@@ -406,11 +400,6 @@ impl Registry {
     /// Whether no tenant is registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Registered tenant names, in lane order.
-    pub fn names(&self) -> Vec<String> {
-        self.by_lane.read().iter().map(|t| t.name.clone()).collect()
     }
 
     /// Attach the registry to a durable state directory: load (or

@@ -58,11 +58,6 @@ impl ServerFaultPlan {
     pub fn panics(&self, seq: u64) -> bool {
         self.panic_batches.contains(&seq)
     }
-
-    /// Whether the plan injects nothing.
-    pub fn is_inert(&self) -> bool {
-        self.panic_batches.is_empty()
-    }
 }
 
 /// Tuning knobs for [`Server`].
@@ -118,8 +113,8 @@ impl ServerConfig {
     /// The deterministic replay configuration: one executor, unbounded
     /// batch size, paused queue. Submit a sequence, then
     /// [`Server::shutdown`] — each tenant's requests execute as a single
-    /// batch bit-identical to [`Uae::try_estimate_cards`] on the same
-    /// queries in submit order.
+    /// batch bit-identical to [`uae_core::Uae::try_estimate_cards`] on
+    /// the same queries in submit order.
     pub fn deterministic(queue_capacity: usize) -> Self {
         ServerConfig {
             max_batch: usize::MAX,
@@ -140,8 +135,6 @@ pub enum SubmitError {
     UnknownTenant(String),
     /// The bounded submission queue is full — shed load or retry later.
     Overloaded,
-    /// The server is shutting down (or already shut down).
-    ShuttingDown,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -149,7 +142,6 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::UnknownTenant(name) => write!(f, "unknown tenant `{name}`"),
             SubmitError::Overloaded => write!(f, "submission queue full (overloaded)"),
-            SubmitError::ShuttingDown => write!(f, "server is shutting down"),
         }
     }
 }
@@ -272,17 +264,6 @@ struct Request {
     deadline: Option<Instant>,
 }
 
-/// A flushed micro-batch, ready to run.
-struct BatchJob {
-    /// Batch flush sequence number.
-    seq: u64,
-    tenant: Arc<Tenant>,
-    requests: Vec<Request>,
-    /// Degraded per-query sample budget chosen at flush time (`None` =
-    /// tenant's configured budget).
-    samples_override: Option<usize>,
-}
-
 /// The one serving queue, behind [`Shared::queue`]: every accepted
 /// request waits here, in its tenant's lane, until an executor takes it
 /// in a batch.
@@ -290,7 +271,8 @@ struct Queue {
     batcher: MicroBatcher<Request>,
     /// See [`ServerConfig::start_paused`]; executors take nothing while set.
     paused: bool,
-    /// Set by shutdown: submissions bounce and executors drain the lanes.
+    /// Set by shutdown (which owns the server, so no submission can
+    /// follow): executors drain the lanes and exit.
     closing: bool,
 }
 
@@ -431,14 +413,9 @@ impl Server {
 
     /// Attach a sink for front-end events ([`Event::BatchFlushed`],
     /// [`Event::RequestServed`], [`Event::Routed`]). Model-level events
-    /// are observed per tenant via [`Uae::set_sink`].
+    /// are observed per tenant via [`uae_core::Uae::set_sink`].
     pub fn set_sink(&self, sink: Box<dyn Sink>) {
         *self.shared.sink.lock() = Some(sink);
-    }
-
-    /// Detach the front-end sink (dropping a JSONL sink flushes it).
-    pub fn take_sink(&self) -> Option<Box<dyn Sink>> {
-        self.shared.sink.lock().take()
     }
 
     /// Submit one query for `tenant`. Non-blocking: either the request
@@ -477,9 +454,6 @@ impl Server {
         };
         let reply = Arc::new(ReplySlot::new());
         let mut queue = self.shared.queue.lock().expect("serving queue poisoned");
-        if queue.closing {
-            return Err(SubmitError::ShuttingDown);
-        }
         if queue.batcher.pending() >= self.cfg.queue_capacity.max(1) {
             self.shared.stats.rejected_overloaded.fetch_add(1, Ordering::SeqCst);
             return Err(SubmitError::Overloaded);
@@ -608,21 +582,18 @@ impl std::fmt::Display for ServeCallError {
 impl std::error::Error for ServeCallError {}
 
 fn executor_loop(shared: Arc<Shared>) {
-    while let Some((lane, requests, reason)) = next_batch(&shared) {
-        flush(&shared, lane, requests, reason);
+    while let Some((requests, reason)) = next_batch(&shared) {
+        flush(&shared, requests, reason);
     }
 }
 
 /// Block until a lane is ready (or, once closing, the next drain chunk)
 /// and take its batch; `None` once the closed queue is empty.
-fn next_batch(shared: &Shared) -> Option<(usize, Vec<Request>, FlushReason)> {
+fn next_batch(shared: &Shared) -> Option<(Vec<Request>, FlushReason)> {
     let mut queue = shared.queue.lock().expect("serving queue poisoned");
     loop {
         if queue.closing {
-            return queue
-                .batcher
-                .drain()
-                .map(|(lane, requests)| (lane, requests, FlushReason::Drain));
+            return queue.batcher.drain().map(|(_, requests)| (requests, FlushReason::Drain));
         }
         if queue.paused {
             queue = shared.ready.wait(queue).expect("serving queue poisoned");
@@ -636,7 +607,7 @@ fn next_batch(shared: &Shared) -> Option<(usize, Vec<Request>, FlushReason)> {
                     // remaining lanes' deadlines: hand that to another.
                     shared.ready.notify_one();
                 }
-                return Some((lane, requests, reason));
+                return Some((requests, reason));
             }
             Poll::WaitNs(ns) => {
                 let timeout = Duration::from_nanos(ns);
@@ -650,7 +621,7 @@ fn next_batch(shared: &Shared) -> Option<(usize, Vec<Request>, FlushReason)> {
 
 /// Run a batch taken from the queue: drop expired requests, pick the
 /// degraded budget from the queue depth, account the flush, execute.
-fn flush(shared: &Arc<Shared>, lane: usize, mut requests: Vec<Request>, reason: FlushReason) {
+fn flush(shared: &Arc<Shared>, mut requests: Vec<Request>, reason: FlushReason) {
     // Expired-in-queue requests never reach the model: answering them
     // would burn batch budget on estimates the caller has already given
     // up on. Dropped here (the single point every request passes through
@@ -673,7 +644,8 @@ fn flush(shared: &Arc<Shared>, lane: usize, mut requests: Vec<Request>, reason: 
     if requests.is_empty() {
         return;
     }
-    let tenant = shared.registry.by_lane(lane).unwrap_or_else(|| requests[0].tenant.clone());
+    // A batch is one lane's requests, so they share one tenant.
+    let tenant = requests[0].tenant.clone();
     // A model publication since the last flush invalidates the rolling
     // latency window: its samples describe the replaced model.
     let epoch = shared.registry.swap_epoch();
@@ -700,24 +672,31 @@ fn flush(shared: &Arc<Shared>, lane: usize, mut requests: Vec<Request>, reason: 
         reason,
         queue_depth,
     });
-    run_batch(shared, BatchJob { seq, tenant, requests, samples_override });
+    run_batch(shared, seq, &tenant, requests, samples_override);
 }
 
-/// Execute one micro-batch end to end: one panic-isolated
-/// [`uae_core::serve_batch`] call (routed when the tenant holds a
-/// router), replies, latency accounting, telemetry. Routed replies count
-/// in `routed_requests` and emit [`Event::Routed`] keyed by request id.
-fn run_batch(shared: &Arc<Shared>, job: BatchJob) {
-    let n = job.requests.len();
-    let queries: Vec<Query> = job.requests.iter().map(|r| r.query.clone()).collect();
-    let model = job.tenant.model();
-    let router = job.tenant.router();
+/// Execute flushed batch `seq` of `tenant`'s requests end to end: one
+/// panic-isolated [`uae_core::serve_batch`] call at the flush-time sample
+/// budget (routed when the tenant holds a router), replies, latency
+/// accounting, telemetry. Routed replies count in `routed_requests` and
+/// emit [`Event::Routed`] keyed by request id.
+fn run_batch(
+    shared: &Arc<Shared>,
+    seq: u64,
+    tenant: &Arc<Tenant>,
+    requests: Vec<Request>,
+    samples_override: Option<usize>,
+) {
+    let n = requests.len();
+    let queries: Vec<Query> = requests.iter().map(|r| r.query.clone()).collect();
+    let model = tenant.model();
+    let router = tenant.router();
     let exec_start = Instant::now();
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        if shared.fault.panics(job.seq) {
-            panic!("uae-server: fault-plan panic (batch {})", job.seq);
+        if shared.fault.panics(seq) {
+            panic!("uae-server: fault-plan panic (batch {seq})");
         }
-        serve_batch(&model, router.as_deref(), &queries, job.samples_override)
+        serve_batch(&model, router.as_deref(), &queries, samples_override)
     }));
     let execute_ms = exec_start.elapsed().as_secs_f64() * 1e3;
     let stats = &shared.stats;
@@ -734,9 +713,8 @@ fn run_batch(shared: &Arc<Shared>, job: BatchJob) {
     // Record served queries for later truth resolution *before* any
     // reply is filled: once `Ticket::wait` returns, the caller may
     // immediately call `resolve_truth` with the ticket id.
-    if job.tenant.pool().is_some() {
-        let pending: Vec<(u64, Query)> = job
-            .requests
+    if tenant.pool().is_some() {
+        let pending: Vec<(u64, Query)> = requests
             .iter()
             .zip(&results)
             .filter(|(_, (r, _))| r.is_ok())
@@ -747,7 +725,7 @@ fn run_batch(shared: &Arc<Shared>, job: BatchJob) {
             let mut dropped = 0u64;
             let mut labels = shared.labels.lock();
             for (id, query) in pending {
-                dropped += labels.record(id, job.tenant.clone(), query);
+                dropped += labels.record(id, tenant.clone(), query);
             }
             drop(labels);
             stats.labels_recorded.fetch_add(recorded, Ordering::SeqCst);
@@ -758,7 +736,7 @@ fn run_batch(shared: &Arc<Shared>, job: BatchJob) {
     }
     let mut queue_ns_total = 0u64;
     let mut exec_ns_total = 0u64;
-    for (req, (result, routed)) in job.requests.into_iter().zip(results) {
+    for (req, (result, routed)) in requests.into_iter().zip(results) {
         match &result {
             Ok(est) => {
                 stats.completed.fetch_add(1, Ordering::SeqCst);
@@ -794,7 +772,7 @@ fn run_batch(shared: &Arc<Shared>, job: BatchJob) {
         exec_ns_total += (execute_ms * 1e6) as u64;
         shared.emit(Event::RequestServed {
             index: req.id,
-            tenant: job.tenant.name().to_owned(),
+            tenant: tenant.name().to_owned(),
             queue_ms,
             execute_ms,
         });

@@ -7,7 +7,7 @@
 //! live cell shared across threads, [`ServerStats`] the plain snapshot
 //! handed to callers.
 
-use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
@@ -116,8 +116,9 @@ pub struct ServerStatsCell {
     pub(crate) flush_drain: AtomicU64,
     pub(crate) executor_panics: AtomicU64,
     pub(crate) batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
-    /// Signed, so a stray `exit` cannot wrap it; readers clamp at zero.
-    pub(crate) queue_depth: AtomicIsize,
+    /// Raised under the queue lock before a request is pushed, so no
+    /// reply can lower it first.
+    pub(crate) queue_depth: AtomicUsize,
     pub(crate) max_queue_depth: AtomicUsize,
     pub(crate) queue_wait_ns: AtomicU64,
     pub(crate) execute_ns: AtomicU64,
@@ -127,17 +128,18 @@ impl ServerStatsCell {
     /// Raise the in-flight gauge, keeping the high-water mark.
     pub(crate) fn enter(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-        self.max_queue_depth.fetch_max(depth.max(0) as usize, Ordering::SeqCst);
+        self.max_queue_depth.fetch_max(depth, Ordering::SeqCst);
     }
 
     /// Lower the in-flight gauge by `n` replies.
     pub(crate) fn exit(&self, n: usize) {
-        self.queue_depth.fetch_sub(n as isize, Ordering::SeqCst);
+        let before = self.queue_depth.fetch_sub(n, Ordering::SeqCst);
+        debug_assert!(before >= n, "in-flight gauge went below zero");
     }
 
     /// Current in-flight requests (accepted, not yet replied).
     pub fn depth(&self) -> usize {
-        self.queue_depth.load(Ordering::SeqCst).max(0) as usize
+        self.queue_depth.load(Ordering::SeqCst)
     }
 
     /// Plain snapshot of every counter.
@@ -322,19 +324,5 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.max_queue_depth, 3);
-    }
-
-    #[test]
-    fn depth_gauge_survives_a_reply_before_its_enter() {
-        // An executor can answer a request before its submitter raises
-        // the gauge; the gauge must neither wrap nor overflow.
-        let c = ServerStatsCell::default();
-        c.exit(1);
-        assert_eq!(c.depth(), 0);
-        c.enter();
-        assert_eq!(c.depth(), 0);
-        c.enter();
-        assert_eq!(c.depth(), 1);
-        assert_eq!(c.snapshot().max_queue_depth, 1);
     }
 }

@@ -314,6 +314,69 @@ fn learner_clean_shutdown_recover_round_trip_is_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A learner started on a recovered registry continues the recovered
+/// lineage: after v1 and v2 were committed and recovery republished v2,
+/// the next promotion is v3. It must not re-issue v1, which would
+/// overwrite a committed checkpoint and move the tenant back a version.
+#[test]
+fn learner_on_recovered_registry_continues_the_lineage() {
+    let dir = tmp_dir("lineage");
+    let table = small_table();
+    let live = seed_model(&table);
+    let config = || OnlineConfig {
+        trigger_fresh: 12,
+        holdout: 8,
+        query_epochs: 2,
+        checkpoint_dir: Some(dir.clone()),
+        label: "census".to_owned(),
+        ..OnlineConfig::default()
+    };
+
+    let mut trainer = OnlineTrainer::new(&live, config());
+    let published = drive_promotions(&mut trainer, &live, &labels(&table, 160, 0xfeed), 2);
+    assert_eq!(published.iter().map(|(v, _)| *v).collect::<Vec<_>>(), [1, 2]);
+    let committed: Vec<Vec<u8>> = (1..=2)
+        .map(|v| std::fs::read(dir.join(format!("census_v{v}.uaec"))).expect("committed"))
+        .collect();
+
+    let mut builder = |name: &str| (name == "census").then(|| seed_model(&table));
+    let (registry, _) = recover_registry(&dir, &mut builder, None, None).expect("recovers");
+    let tenant = registry.get("census").expect("tenant recovered");
+    assert_eq!(tenant.version(), 2);
+
+    // One wave of labels, queued before the learner starts: its first
+    // round trains on it and promotes, and every later round is idle (no
+    // fresh labels, none for a probation verdict), so exactly one
+    // publication happens.
+    let pool = Arc::new(QueryPool::new(1024));
+    pool.extend(labels(&table, 40, 0xbeef));
+    let learner = OnlineLearner::start(
+        registry.clone(),
+        "census",
+        OnlineTrainer::new(&tenant.model(), config()),
+        pool.clone(),
+        Duration::from_millis(2),
+    );
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while learner.stats().rounds < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(learner.stats().promotions, 1, "the learner never promoted");
+    let trainer = learner.stop();
+
+    assert_eq!(trainer.version(), 3);
+    assert_eq!(tenant.version(), 3, "the promotion extends the recovered lineage");
+    let manifest = Manifest::load(&dir).expect("manifest readable").expect("manifest present");
+    assert_eq!(manifest.entries["census"].version, 3);
+    assert_eq!(manifest.entries["census"].checkpoint.as_deref(), Some("census_v3.uaec"));
+    for (v, bytes) in (1..=2).zip(&committed) {
+        let now = std::fs::read(dir.join(format!("census_v{v}.uaec"))).expect("still present");
+        assert!(&now == bytes, "committed census_v{v}.uaec was rewritten");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Requests whose `submit_with_deadline` budget expires while queued are
 /// dropped at flush with a typed reply and their own counter — distinct
 /// from the `Overloaded` shed.

@@ -19,13 +19,6 @@ pub fn he_uniform(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Tensor {
     Tensor::from_vec(fan_in, fan_out, data)
 }
 
-/// Xavier/Glorot uniform initialization.
-pub fn xavier_uniform(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Tensor {
-    let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    let data = (0..fan_in * fan_out).map(|_| rng.random_range(-bound..bound)).collect();
-    Tensor::from_vec(fan_in, fan_out, data)
-}
-
 /// A single standard Gumbel(0, 1) sample: `-log(-log(u))`, `u ~ U(0, 1)`.
 #[inline]
 pub fn gumbel_sample(rng: &mut impl Rng) -> f32 {
