@@ -80,10 +80,12 @@ cargo run --release --example serve_concurrent -- \
     --metrics-out target/serving.jsonl
 test -s target/serving.jsonl
 grep -q '"event":"request_served"' target/serving.jsonl
+grep -q '"reason":"idle"' target/serving.jsonl
 UAE_FORCE_SCALAR=1 cargo run --release --example serve_concurrent -- \
     --metrics-out target/serving_scalar.jsonl
 test -s target/serving_scalar.jsonl
 grep -q '"event":"request_served"' target/serving_scalar.jsonl
+grep -q '"reason":"idle"' target/serving_scalar.jsonl
 
 echo "== online smoke: drift drill with shadow-gated recovery (default + scalar) =="
 cargo run --release --example online_drift_drill -- \

@@ -131,13 +131,13 @@ enum StepOutcome {
 /// Global gradient-norm bound applied to every training step.
 const GRAD_CLIP: f32 = 8.0;
 
-/// Scale factor bringing a gradient of norm `norm` inside the clip bound,
+/// Scale factor bringing a gradient of norm `norm` inside `GRAD_CLIP`,
 /// or `None` when no clipping applies. Non-finite norms never clip: the
 /// `norm > clip` comparison is `false` for NaN, which previously let NaN
 /// gradients through *unscaled* — they are instead rejected wholesale by
 /// the divergence guard before this is consulted.
-fn clip_scale(norm: f32, clip: f32) -> Option<f32> {
-    (clip > 0.0 && norm.is_finite() && norm > clip).then(|| clip / norm)
+fn clip_scale(norm: f32) -> Option<f32> {
+    (norm.is_finite() && norm > GRAD_CLIP).then(|| GRAD_CLIP / norm)
 }
 
 /// Shuffled full-pass cycling over training-query indices. Algorithm 3
@@ -900,7 +900,7 @@ impl Uae {
         if !loss_value.is_finite() || !norm.is_finite() {
             return StepOutcome::Skipped { loss: loss_value };
         }
-        let clipped = match clip_scale(norm, GRAD_CLIP) {
+        let clipped = match clip_scale(norm) {
             Some(scale) => {
                 grads.scale(scale);
                 true
@@ -1190,15 +1190,13 @@ mod tests {
     fn clip_scale_guards_non_finite_norms() {
         // The original predicate `norm > clip` is false for NaN, which
         // applied NaN gradients *unclipped*; the guard must refuse them.
-        assert_eq!(clip_scale(f32::NAN, 8.0), None);
-        assert_eq!(clip_scale(f32::INFINITY, 8.0), None);
-        assert_eq!(clip_scale(f32::NEG_INFINITY, 8.0), None);
-        // Finite norms clip exactly as before.
-        assert_eq!(clip_scale(16.0, 8.0), Some(0.5));
-        assert_eq!(clip_scale(4.0, 8.0), None);
-        assert_eq!(clip_scale(8.0, 8.0), None);
-        // clip = 0 disables clipping entirely.
-        assert_eq!(clip_scale(1e9, 0.0), None);
+        assert_eq!(clip_scale(f32::NAN), None);
+        assert_eq!(clip_scale(f32::INFINITY), None);
+        assert_eq!(clip_scale(f32::NEG_INFINITY), None);
+        // Finite norms clip exactly as before (GRAD_CLIP = 8).
+        assert_eq!(clip_scale(16.0), Some(0.5));
+        assert_eq!(clip_scale(4.0), None);
+        assert_eq!(clip_scale(8.0), None);
     }
 
     #[test]

@@ -99,6 +99,9 @@ pub enum FlushReason {
     Size,
     /// The oldest pending request reached `max_delay`.
     Deadline,
+    /// The lane had no batch in flight, so its executor would otherwise
+    /// sit idle (work-conserving batching).
+    Idle,
     /// The server is shutting down and drained whatever was pending.
     Drain,
 }
@@ -109,6 +112,7 @@ impl FlushReason {
         match self {
             FlushReason::Size => "size",
             FlushReason::Deadline => "deadline",
+            FlushReason::Idle => "idle",
             FlushReason::Drain => "drain",
         }
     }

@@ -9,9 +9,11 @@
 //! * [`Registry`] — a per-tenant model registry: named [`uae_core::Uae`]
 //!   snapshots behind an atomic swap point, each with its own serving
 //!   configuration and [`DegradeConfig`] ladder.
-//! * [`MicroBatcher`] — a pure flush-on-size-or-deadline state machine
-//!   (mock-clock testable) that coalesces independent arrivals into the
-//!   batches the engine is fast at.
+//! * [`MicroBatcher`] — a pure work-conserving state machine (a lane
+//!   with no batch in flight flushes on arrival, a busy one on size or
+//!   deadline or when its batch returns; mock-clock testable) that
+//!   coalesces independent arrivals into the batches the engine is fast
+//!   at.
 //! * [`Server`] — threads wiring them together: one bounded queue (the
 //!   micro-batcher behind a mutex) with typed [`SubmitError::Overloaded`]
 //!   backpressure, a pool of batch executors that take ready lanes

@@ -11,9 +11,13 @@
 //!   is never blocked by a slow model (backpressure is typed, not
 //!   implicit).
 //! * **Executors** (a small pool) wait on the queue for a ready lane —
-//!   `max_batch` requests, or its oldest request aged past `max_delay`;
-//!   the oldest ready lane first — and take up to `max_batch` of its
-//!   requests. Outside the lock each batch gets its sample budget from
+//!   one with no batch in flight as soon as it holds a request, a busy
+//!   one at `max_batch` requests or once its oldest request aged past
+//!   `max_delay`; the oldest ready lane first — and take up to
+//!   `max_batch` of its requests. An executor returning from a batch
+//!   releases its lane and takes its next batch under one lock
+//!   acquisition, so a lane that filled while its batch ran flushes at
+//!   once. Outside the lock each batch gets its sample budget from
 //!   the degradation ladder (queue depth) and runs through one
 //!   [`uae_core::serve_batch`] call — so the tenant's router (if any)
 //!   partitions it and the whole validation → sample → retry → baseline
@@ -66,7 +70,9 @@ pub struct ServerConfig {
     /// Flush a lane as soon as it holds this many requests.
     /// `usize::MAX` disables size flushes (determinism escape hatch).
     pub max_batch: usize,
-    /// Flush a lane once its oldest request has waited this long.
+    /// Flush a *busy* lane (one with a batch in flight) once its oldest
+    /// request has waited this long; a lane with nothing in flight flushes
+    /// on arrival. At `max_batch = usize::MAX` it is the only flush rule.
     pub max_delay: Duration,
     /// Bound on queued requests (accepted, not yet taken by an executor);
     /// `submit` beyond it rejects with [`SubmitError::Overloaded`].
@@ -582,18 +588,30 @@ impl std::fmt::Display for ServeCallError {
 impl std::error::Error for ServeCallError {}
 
 fn executor_loop(shared: Arc<Shared>) {
-    while let Some((requests, reason)) = next_batch(&shared) {
+    let mut finished = None;
+    while let Some((lane, requests, reason)) = next_batch(&shared, finished) {
+        // `flush` returns after an all-expired batch and after a panicked
+        // one too, so the lane is always released.
         flush(&shared, requests, reason);
+        finished = lane;
     }
 }
 
-/// Block until a lane is ready (or, once closing, the next drain chunk)
-/// and take its batch; `None` once the closed queue is empty.
-fn next_batch(shared: &Shared) -> Option<(Vec<Request>, FlushReason)> {
+/// Release `finished` (the lane of this executor's last batch, if it was
+/// taken from a lane), then block until a lane is ready (or, once closing,
+/// the next drain chunk) and take its batch, with its lane (`None` for a
+/// drain chunk); `None` once the closed queue is empty.
+fn next_batch(
+    shared: &Shared,
+    finished: Option<usize>,
+) -> Option<(Option<usize>, Vec<Request>, FlushReason)> {
     let mut queue = shared.queue.lock().expect("serving queue poisoned");
+    if let Some(lane) = finished {
+        queue.batcher.complete(lane);
+    }
     loop {
         if queue.closing {
-            return queue.batcher.drain().map(|(_, requests)| (requests, FlushReason::Drain));
+            return queue.batcher.drain().map(|requests| (None, requests, FlushReason::Drain));
         }
         if queue.paused {
             queue = shared.ready.wait(queue).expect("serving queue poisoned");
@@ -604,10 +622,11 @@ fn next_batch(shared: &Shared) -> Option<(Vec<Request>, FlushReason)> {
                 let requests = queue.batcher.take(lane);
                 if queue.batcher.pending() > 0 {
                     // This executor may have been the one timing the
-                    // remaining lanes' deadlines: hand that to another.
+                    // remaining lanes' deadlines, or its release made
+                    // another lane ready: hand that to another.
                     shared.ready.notify_one();
                 }
-                return Some((requests, reason));
+                return Some((Some(lane), requests, reason));
             }
             Poll::WaitNs(ns) => {
                 let timeout = Duration::from_nanos(ns);
@@ -662,6 +681,7 @@ fn flush(shared: &Arc<Shared>, mut requests: Vec<Request>, reason: FlushReason) 
     match reason {
         FlushReason::Size => stats.flush_size.fetch_add(1, Ordering::SeqCst),
         FlushReason::Deadline => stats.flush_deadline.fetch_add(1, Ordering::SeqCst),
+        FlushReason::Idle => stats.flush_idle.fetch_add(1, Ordering::SeqCst),
         FlushReason::Drain => stats.flush_drain.fetch_add(1, Ordering::SeqCst),
     };
     stats.batch_hist[batch_bucket(requests.len())].fetch_add(1, Ordering::SeqCst);

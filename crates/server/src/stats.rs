@@ -113,6 +113,7 @@ pub struct ServerStatsCell {
     pub(crate) batches: AtomicU64,
     pub(crate) flush_size: AtomicU64,
     pub(crate) flush_deadline: AtomicU64,
+    pub(crate) flush_idle: AtomicU64,
     pub(crate) flush_drain: AtomicU64,
     pub(crate) executor_panics: AtomicU64,
     pub(crate) batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
@@ -166,6 +167,7 @@ impl ServerStatsCell {
             batches: ld(&self.batches),
             flush_size: ld(&self.flush_size),
             flush_deadline: ld(&self.flush_deadline),
+            flush_idle: ld(&self.flush_idle),
             flush_drain: ld(&self.flush_drain),
             executor_panics: ld(&self.executor_panics),
             batch_hist,
@@ -225,6 +227,8 @@ pub struct ServerStats {
     pub flush_size: u64,
     /// Batches closed because the oldest request reached `max_delay`.
     pub flush_deadline: u64,
+    /// Batches closed because their lane had no batch in flight.
+    pub flush_idle: u64,
     /// Batches closed by shutdown drain.
     pub flush_drain: u64,
     /// Batch executions that panicked (isolated; one per batch).

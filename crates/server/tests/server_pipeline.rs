@@ -5,7 +5,7 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use uae_core::{EstimateSource, Event, MemorySink, ResMadeConfig, TrainConfig, Uae, UaeConfig};
 use uae_data::census_like;
@@ -74,6 +74,7 @@ fn deterministic_replay_matches_estimate_batch() {
     assert_eq!(stats.batches, 1, "replay must execute as one batch");
     assert_eq!(stats.flush_drain, 1);
     assert_eq!(stats.flush_size + stats.flush_deadline, 0);
+    assert_eq!(stats.flush_idle, 0, "an unbounded batch never flushes idle");
     assert_eq!(stats.completed + stats.query_errors, queries.len() as u64);
     assert_eq!(stats.queue_depth, 0, "every accepted request was answered");
 
@@ -295,15 +296,17 @@ fn hot_swap_race_answers_every_request_from_exactly_one_version() {
     ));
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let swaps_done = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let swapper = {
         let registry = registry.clone();
-        let stop = stop.clone();
+        let (stop, swaps_done) = (stop.clone(), swaps_done.clone());
         std::thread::spawn(move || {
             let mut swaps = 0u64;
             while !stop.load(std::sync::atomic::Ordering::SeqCst) {
                 let rows = if swaps.is_multiple_of(2) { rows_b } else { rows_a };
                 registry.swap_model("census", quick_uae(rows, 71 + swaps)).expect("registered");
                 swaps += 1;
+                swaps_done.store(swaps, std::sync::atomic::Ordering::SeqCst);
             }
             swaps
         })
@@ -311,10 +314,15 @@ fn hot_swap_race_answers_every_request_from_exactly_one_version() {
 
     let submitters: Vec<_> = (0..3)
         .map(|_| {
-            let server = server.clone();
+            let (server, swaps_done) = (server.clone(), swaps_done.clone());
             std::thread::spawn(move || {
                 let mut cards = Vec::new();
-                for _ in 0..60 {
+                // At least 60 requests each, and keep submitting until two
+                // swaps have landed, so swaps race requests in flight
+                // however fast the server answers.
+                let mut sent = 0;
+                while sent < 60 || swaps_done.load(std::sync::atomic::Ordering::SeqCst) < 2 {
+                    sent += 1;
                     // Trivial (unconstrained) queries shortcut to the
                     // exact row count of whichever snapshot served them.
                     if let Ok(ticket) = server.submit("census", Query::default()) {
@@ -481,7 +489,10 @@ fn concurrent_submitters_reconcile_every_counter() {
         stats.completed + stats.query_errors + stats.failed + stats.deadline_exceeded,
         stats.accepted
     );
-    assert_eq!(stats.flush_size + stats.flush_deadline + stats.flush_drain, stats.batches);
+    assert_eq!(
+        stats.flush_size + stats.flush_deadline + stats.flush_idle + stats.flush_drain,
+        stats.batches
+    );
     assert_eq!(stats.batch_hist.iter().sum::<u64>(), stats.batches);
     assert_eq!(stats.queue_depth, 0);
     assert!(stats.max_queue_depth <= queue_capacity + executors * max_batch);
@@ -496,4 +507,84 @@ fn concurrent_submitters_reconcile_every_counter() {
         .collect();
     assert_eq!(sizes.len() as u64, stats.batches);
     assert!(sizes.iter().all(|&n| (1..=max_batch).contains(&n)), "batch sizes {sizes:?}");
+}
+
+/// A server that would never flush on size or deadline (`max_batch` 64,
+/// hour-long `max_delay`), so only the work-conserving rule can release a
+/// lone request.
+fn idle_only_server(fault: ServerFaultPlan, start_paused: bool) -> Server {
+    let registry = Arc::new(Registry::new());
+    registry.register("census", quick_uae(400, 97));
+    Server::start(
+        registry,
+        ServerConfig {
+            max_batch: 64,
+            max_delay: Duration::from_secs(3600),
+            executors: 1,
+            degrade: DegradeConfig::disabled(),
+            fault,
+            start_paused,
+            ..ServerConfig::default()
+        },
+    )
+}
+
+/// Poll `ticket` for at most 30 s: a held request fails the test instead
+/// of hanging it.
+fn reply_within_bound(ticket: &Ticket) -> Result<uae_core::Estimate, ServerError> {
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_secs(30) {
+        if let Some(reply) = ticket.try_take() {
+            return reply;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("a lone request on an idle executor was held for 30 s");
+}
+
+/// Work-conserving batching: a lone request on an idle executor flushes
+/// on arrival instead of waiting out `max_delay`.
+#[test]
+fn lone_request_on_idle_executor_flushes_on_arrival() {
+    let queries = quick_queries(400, 97, 2, 3);
+    let server = idle_only_server(ServerFaultPlan::default(), false);
+    for q in &queries {
+        let ticket = server.submit("census", q.clone()).expect("capacity");
+        reply_within_bound(&ticket).expect("lone request estimates");
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.batches, stats.flush_idle), (2, 2));
+    assert_eq!(stats.flush_size + stats.flush_deadline + stats.flush_drain, 0);
+}
+
+/// A batch whose execution panicked still releases its lane: the next
+/// lone request is answered promptly, not after `max_delay`.
+#[test]
+fn panicked_batch_releases_its_lane() {
+    let queries = quick_queries(400, 97, 2, 5);
+    let server = idle_only_server(ServerFaultPlan { panic_batches: vec![0] }, false);
+    let first = server.submit("census", queries[0].clone()).expect("capacity");
+    assert_eq!(reply_within_bound(&first).unwrap_err(), ServerError::ExecutorPanic);
+    let second = server.submit("census", queries[1].clone()).expect("capacity");
+    reply_within_bound(&second).expect("the lane is free again after the panic");
+    let stats = server.shutdown();
+    assert_eq!((stats.executor_panics, stats.flush_idle), (1, 2));
+}
+
+/// A batch whose every request expired in the queue returns before
+/// execution and still releases its lane.
+#[test]
+fn all_expired_batch_releases_its_lane() {
+    let queries = quick_queries(400, 97, 2, 7);
+    let server = idle_only_server(ServerFaultPlan::default(), true);
+    let expired = server
+        .submit_with_deadline("census", queries[0].clone(), Duration::from_millis(1))
+        .expect("capacity");
+    std::thread::sleep(Duration::from_millis(5));
+    server.resume();
+    assert_eq!(reply_within_bound(&expired).unwrap_err(), ServerError::DeadlineExceeded);
+    let next = server.submit("census", queries[1].clone()).expect("capacity");
+    reply_within_bound(&next).expect("the lane is free again after the expired batch");
+    let stats = server.shutdown();
+    assert_eq!((stats.deadline_exceeded, stats.batches, stats.flush_idle), (1, 1, 1));
 }

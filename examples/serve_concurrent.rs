@@ -1,6 +1,6 @@
 //! Concurrent-serving smoke drill: stand up the micro-batching front-end
 //! over two tenants, fire an unpaced burst at a deliberately small queue,
-//! and show every moving part working — size/deadline flushes, typed
+//! and show every moving part working — idle/size/deadline flushes, typed
 //! `Overloaded` load shedding, the queue-depth degradation ladder, a mid-run
 //! model hot-swap, and a clean drain where every accepted request is
 //! answered. Front-end telemetry (one JSONL line per batch flush and
@@ -127,7 +127,7 @@ fn main() {
 
     println!(
         "[smoke] accepted {} | rejected(overloaded) {} | completed {} | degraded {} \
-         | batches {} (size {} / deadline {} / drain {}) | mean batch {:.1} \
+         | batches {} (size {} / deadline {} / idle {} / drain {}) | mean batch {:.1} \
          | max depth {} | p50 {:.1} ms | p99 {:.1} ms",
         stats.accepted,
         stats.rejected_overloaded,
@@ -136,6 +136,7 @@ fn main() {
         stats.batches,
         stats.flush_size,
         stats.flush_deadline,
+        stats.flush_idle,
         stats.flush_drain,
         stats.mean_batch_size(),
         stats.max_queue_depth,
